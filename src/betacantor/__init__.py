@@ -6,7 +6,7 @@ measures."""
 
 from .beta import (BetaResult, ScaleGrid, beta, beta_both, best_line_p2,
                    best_line_search, beta_lower_bound_probe, increment_pair,
-                   square_function, square_function_increment)
+                   square_function)
 from .cantor import (DOWN, UP, CantorMeasure, PointAddress, Schedule,
                      children, classify, generate, locate, point_of, refine,
                      sample_address, schedule_custom, schedule_tame,

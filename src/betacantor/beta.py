@@ -22,8 +22,8 @@ L^2 line and the horizontal direction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -555,6 +555,26 @@ def _beta_core(mu: AnyMeasure, x, r: Scalar, p: float) -> _Core:
                  win.n_atoms, iters)
 
 
+def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
+              ) -> Tuple[BetaResult, Optional[BetaResult]]:
+    """Both normalizations from a single search: ``(beta, betaTilde)``.
+
+    The two results share the minimizing line and the diagnostics and
+    differ only in ``value`` and ``variant``.  The mass-normalized result
+    is None on a ball of zero mass (the radius-normalized one vanishes
+    there).
+    """
+    core = _beta_core(mu, x, r, p)
+    b = BetaResult(core.objective ** (1.0 / p),
+                   _map_line_back(core.phi, core.c, x, r), "beta", p,
+                   core.mass * float(r), core.segments, core.atoms,
+                   core.iterations)
+    if core.mass <= 0.0:
+        return b, None
+    return b, replace(b, value=(core.objective / core.mass) ** (1.0 / p),
+                      variant="betaTilde")
+
+
 def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
          variant: str = "beta") -> BetaResult:
     """Evaluate one coefficient; see the module docstring for the two
@@ -563,27 +583,12 @@ def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
     """
     if variant not in ("beta", "betaTilde"):
         raise ValueError("variant must be 'beta' or 'betaTilde'")
-    core = _beta_core(mu, x, r, p)
-    if core.mass <= 0.0 and variant == "betaTilde":
+    b, t = beta_both(mu, x, r, p)
+    if variant == "beta":
+        return b
+    if t is None:
         raise EmptyBallError(f"no mass in the ball at {x}, r={r}")
-    if variant == "betaTilde":
-        value = (core.objective / core.mass) ** (1.0 / p)
-    else:
-        value = core.objective ** (1.0 / p)
-    return BetaResult(value, _map_line_back(core.phi, core.c, x, r), variant,
-                      p, core.mass * float(r), core.segments, core.atoms,
-                      core.iterations)
-
-
-def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
-              ) -> Tuple[float, Optional[float]]:
-    """Both normalizations from a single search: ``(beta, betaTilde)``;
-    the mass-normalized value is None on empty balls."""
-    core = _beta_core(mu, x, r, p)
-    b = core.objective ** (1.0 / p)
-    if core.mass <= 0.0:
-        return b, None
-    return b, (core.objective / core.mass) ** (1.0 / p)
+    return t
 
 
 def best_line_p2(mu: AnyMeasure, ball: Ball) -> Line:
@@ -615,51 +620,52 @@ def best_line_search(mu: AnyMeasure, ball: Ball, p: float) -> Line:
 
 @dataclass
 class SquareFunctionDetails:
-    """Per-scale breakdown of a square-function sum."""
+    """Diagnostics of a square-function sum."""
 
-    radii: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
     empty_balls: int = 0
 
 
+def _sum_squares(mu: AnyMeasure, x, p: float,
+                 scales: Iterable[Tuple[float, float]],
+                 details: Optional[SquareFunctionDetails] = None,
+                 ) -> Tuple[float, float]:
+    """``sum value(r)^2 * weight`` over ``(r, weight)`` scales for both
+    variants, one line search per scale: ``(beta_sum, betaTilde_sum)``.
+    Mass-normalized terms of empty balls contribute 0 and are counted in
+    ``details.empty_balls``."""
+    total_b = 0.0
+    total_t = 0.0
+    for r, weight in scales:
+        b, t = beta_both(mu, x, r, p)
+        total_b += b.value * b.value * weight
+        if t is not None:
+            total_t += t.value * t.value * weight
+        elif details is not None:
+            details.empty_balls += 1
+    return total_b, total_t
+
+
 def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
-                    variant: str = "beta",
-                    details: Optional[SquareFunctionDetails] = None) -> float:
-    """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid:
-    ``sum_m value(r_m)^2 * ln(1/lam)``.
+                    details: Optional[SquareFunctionDetails] = None,
+                    ) -> Tuple[float, float]:
+    """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid,
+    ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants from one line
+    search per scale: ``(beta_sum, betaTilde_sum)``.
 
     Mass-normalized coefficients on empty balls contribute 0 and are
     counted in ``details.empty_balls``.
     """
-    total = 0.0
-    for r in grid.radii():
-        try:
-            v = beta(mu, x, r, p, variant).value
-        except EmptyBallError:
-            v = 0.0
-            if details is not None:
-                details.empty_balls += 1
-        total += v * v * grid.log_weight
-        if details is not None:
-            details.radii.append(r)
-            details.values.append(v)
-    return total
-
-
-def square_function_increment(mu: AnyMeasure, x, p: float, r_lo: Scalar,
-                              r_hi: Scalar, lam: float = 2.0 ** -0.25,
-                              variant: str = "beta") -> float:
-    """Square-function sub-sum over scales in ``(r_lo, r_hi]``, anchored at
-    ``r_hi``."""
-    both = increment_pair(mu, x, p, r_lo, r_hi, lam)
-    return both[0] if variant == "beta" else both[1]
+    weight = grid.log_weight
+    return _sum_squares(mu, x, p, ((r, weight) for r in grid.radii()),
+                        details)
 
 
 def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
                    lam: float = 2.0 ** -0.25,
                    dense_octaves: float = 16.0) -> Tuple[float, float]:
-    """Square-function sub-sums over ``(r_lo, r_hi]`` for both variants
-    from one line search per scale: ``(beta_sum, betaTilde_sum)``.
+    """Square-function sub-sums over ``(r_lo, r_hi]``, anchored at
+    ``r_hi``, for both variants from one line search per scale:
+    ``(beta_sum, betaTilde_sum)``.
 
     The grid is dense (ratio ``lam``) over the ``dense_octaves`` octaves
     above ``r_lo``, where the integrand concentrates, and one sample per
@@ -670,19 +676,16 @@ def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
     r_hi = float(r_hi)
     if not 0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
-    total_b = 0.0
-    total_t = 0.0
-    r = r_hi
-    switch = r_lo * 2.0 ** dense_octaves
-    while r > r_lo * (1.0 + 1e-12):
-        ratio = lam if r <= switch else 0.5
-        b, t = beta_both(mu, x, r, p)
-        weight = math.log(1.0 / ratio)
-        total_b += b * b * weight
-        if t is not None:
-            total_t += t * t * weight
-        r *= ratio
-    return total_b, total_t
+
+    def scales():
+        r = r_hi
+        switch = r_lo * 2.0 ** dense_octaves
+        while r > r_lo * (1.0 + 1e-12):
+            ratio = lam if r <= switch else 0.5
+            yield r, math.log(1.0 / ratio)
+            r *= ratio
+
+    return _sum_squares(mu, x, p, scales())
 
 
 def beta_lower_bound_probe(mu: CantorMeasure, x, k: int, p: float,

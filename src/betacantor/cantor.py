@@ -258,15 +258,8 @@ def children(parent: WeightedSegment, h: Scalar, a: Scalar,
         raise ValueError("need n >= 2")
     if h < 0:
         raise ValueError("need h >= 0")
-    length = parent.length
-    width = a * length / n
-    pitch = width + (1 - a) * length / (n - 1)
-    x0 = parent.left.x
-    y = parent.y + h
-    return [WeightedSegment(RationalPoint(x0 + i * pitch, y),
-                            RationalPoint(x0 + i * pitch + width, y),
-                            parent.density)
-            for i in range(n)]
+    fam = _Family.of(parent, a, n, h, UP if h else DOWN)
+    return [fam.child(i) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -280,6 +273,18 @@ class _Family:
     count: int
     density: Fraction
     branch: str
+
+    @classmethod
+    def of(cls, parent: WeightedSegment, frac: Fraction, n: int,
+           dy: Fraction, branch: str) -> "_Family":
+        """``n`` equal children of total length ``frac * len(parent)`` on
+        the line ``dy`` above ``parent``, first child left-aligned, last
+        right-aligned, equal gaps ``(1-frac)/(n-1) * len(parent)``."""
+        length = parent.length
+        width = frac * length / n
+        pitch = width + (1 - frac) * length / (n - 1)
+        return cls(parent.left.x, parent.y + dy, width, pitch, n,
+                   parent.density, branch)
 
     def child(self, i: int) -> WeightedSegment:
         lo = self.x0 + i * self.pitch
@@ -316,15 +321,8 @@ def _families(parent: WeightedSegment, gen_child: int,
     ``gen_child``."""
     a = sched.a_of(gen_child)
     n = sched.n_of(gen_child)
-    h = sched.h_of(gen_child)
-    length = parent.length
-    fams = []
-    for branch, frac, dy in ((DOWN, 1 - a, Fraction(0)), (UP, a, h)):
-        width = frac * length / n
-        pitch = width + (1 - frac) * length / (n - 1)
-        fams.append(_Family(parent.left.x, parent.y + dy, width, pitch, n,
-                            parent.density, branch))
-    return fams[0], fams[1]
+    return (_Family.of(parent, 1 - a, n, Fraction(0), DOWN),
+            _Family.of(parent, a, n, sched.h_of(gen_child), UP))
 
 
 def refine(parents: Sequence[WeightedSegment], k: int, sched: Schedule,

@@ -22,26 +22,27 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import svgfig
-from .beta import (ScaleGrid, beta, square_function, square_function_increment)
+from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
+                   increment_pair, square_function)
 from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12, window_refine)
 from .corona import build_lattice, corona_decompose, packing_report
 from .density import (build_mu_tilde, restricted_maximal_comparison,
                       unrectifiability_witness)
-from .errors import (ConfigError, EmptyBallError, InvariantViolationError,
+from .errors import (ConfigError, InvariantViolationError,
                      ResourceBudgetError, ScheduleExhaustedError)
 from .geometry import Ball
 from .measures import atomize, write_measure
 
 ENUMERATION_LIMIT = 200_000
+VARIANTS = ("beta", "betaTilde")
 
 
 @dataclass
@@ -56,7 +57,6 @@ class ExperimentConfig:
     r_max: float = 0.5
     h1: str = "1/128"
     out_dir: str = "out"
-    workers: int = 1
     timestamp: bool = False
     # custom schedule sequences (rational strings), used when flavor=custom
     custom_a: Tuple[str, ...] = ()
@@ -87,7 +87,7 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         d = self.resolved_dict()
         # execution details that do not affect the numbers
-        for key in ("out_dir", "workers", "timestamp"):
+        for key in ("out_dir", "timestamp"):
             d.pop(key, None)
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -131,8 +131,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {
         "flavor": args.flavor, "k_max": args.k_max, "samples": args.samples,
         "seed": args.seed, "lam": args.lam, "r_min": args.r_min,
-        "r_max": args.r_max, "out_dir": args.out, "workers": args.workers,
-        "timestamp": args.timestamp,
+        "r_max": args.r_max, "out_dir": args.out, "timestamp": args.timestamp,
     }
     for key, val in overrides.items():
         if val is not None:
@@ -295,38 +294,29 @@ def cmd_beta(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     sched = cfg.schedule()
     mu = CantorMeasure(sched, cfg.k_max)
-    grid = cfg.scale_grid()
+    radii = cfg.scale_grid().radii()
+    nan = float("nan")
+    rows = []
+    # coefficient-versus-radius curves, one per sample point and p
+    curves = []
     points = _sampled_points(sched, cfg.k_max, cfg.samples, cfg.seed)
-    items = []
-    for _, pt in points:
+    for i, (_, pt) in enumerate(points):
+        x, y = float(pt.x), float(pt.y)
         for p in cfg.p:
-            for r in grid.radii():
-                for variant in ("beta", "betaTilde"):
-                    items.append((pt, p, r, variant))
-
-    def eval_one(item):
-        pt, p, r, variant = item
-        try:
-            res = beta(mu, (pt.x, pt.y), r, p, variant)
-        except EmptyBallError:
-            return (float(pt.x), float(pt.y), r, p, variant,
-                    float("nan"), float("nan"), float("nan"), 0.0)
-        return (float(pt.x), float(pt.y), r, p, variant, res.value,
-                res.line.phi, res.line.c, res.ball_mass)
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = list(pool.map(eval_one, items))
+            vals = []
+            for r in radii:
+                both = beta_both(mu, (pt.x, pt.y), r, p)
+                vals.append(both[0].value)
+                for variant, res in zip(VARIANTS, both):
+                    if res is None:
+                        rows.append((x, y, r, p, variant, nan, nan, nan, 0.0))
+                    else:
+                        rows.append((x, y, r, p, variant, res.value,
+                                     res.line.phi, res.line.c, res.ball_mass))
+            curves.append((f"pt{i} p={p}", radii, vals))
     _write_csv(out / "beta.csv", cfg,
                ["x", "y", "r", "p", "variant", "beta", "phi", "c",
                 "ball_mass"], rows)
-
-    # coefficient-versus-radius curves, one per sample point and p
-    curves = []
-    radii = grid.radii()
-    for i, (_, pt) in enumerate(points):
-        for p in cfg.p:
-            vals = [beta(mu, (pt.x, pt.y), r, p).value for r in radii]
-            curves.append((f"pt{i} p={p}", radii, vals))
     if curves:
         (out / "beta_curves.svg").write_text(
             svgfig.render_curves(curves, timestamp=cfg.timestamp,
@@ -338,45 +328,36 @@ def cmd_sqfn(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     sched = cfg.schedule()
     grid = cfg.scale_grid()
+    mu = CantorMeasure(sched, cfg.k_max)
     rows = []
-    inc_rows = []
-
-    def run_point(task):
-        gen, pa, pt, p, variant = task
-        mu = CantorMeasure(sched, gen)
-        from .beta import SquareFunctionDetails
-        det = SquareFunctionDetails()
-        total = square_function(mu, (pt.x, pt.y), p, grid, variant, det)
-        return (float(pt.x), float(pt.y), p, variant, grid.r_min,
-                grid.r_max, total, det.empty_balls)
-
-    tasks = []
-    points = _sampled_points(sched, cfg.k_max, cfg.samples, cfg.seed)
-    for pa, pt in points:
+    for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples, cfg.seed):
         for p in cfg.p:
-            for variant in ("beta", "betaTilde"):
-                tasks.append((cfg.k_max, pa, pt, p, variant))
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = list(pool.map(run_point, tasks))
+            det = SquareFunctionDetails()
+            sums = square_function(mu, (pt.x, pt.y), p, grid, det)
+            # only the mass-normalized coefficient is undefined on empty balls
+            for variant, total, empty in zip(VARIANTS, sums,
+                                             (0, det.empty_balls)):
+                rows.append((float(pt.x), float(pt.y), p, variant,
+                             grid.r_min, grid.r_max, total, empty))
     _write_csv(out / "sqfn.csv", cfg,
                ["x", "y", "p", "variant", "r_min", "r_max",
                 "square_function", "empty_balls"], rows)
 
     # per-generation increment windows (h_g, h_{g-1}/2], h_0 = 1
+    inc_rows = []
     for g in range(1, cfg.k_max + 1):
         mu = CantorMeasure(sched, g)
         r_lo = float(sched.h_of(g))
         r_hi = float(sched.h_of(g - 1)) / 2 if g >= 2 else 0.5
+        a_g = float(sched.a_of(g))
         gen_points = _sampled_points(sched, g, cfg.samples, cfg.seed + g)
-        for pa, pt in gen_points:
+        for _, pt in gen_points:
             for p in cfg.p:
-                a_g = float(sched.a_of(g))
-                for variant in ("beta", "betaTilde"):
-                    sub = square_function_increment(
-                        mu, (pt.x, pt.y), p, r_lo, r_hi, cfg.lam, variant)
-                    ref = a_g ** (2.0 / p)
-                    if variant == "betaTilde":
-                        ref = r_lo + ref
+                sums = increment_pair(mu, (pt.x, pt.y), p, r_lo, r_hi,
+                                      cfg.lam)
+                a_term = a_g ** (2.0 / p)
+                for variant, sub, ref in zip(VARIANTS, sums,
+                                             (a_term, r_lo + a_term)):
                     inc_rows.append((g, float(pt.x), float(pt.y), p, variant,
                                      r_lo, r_hi, sub, ref, sub / ref))
     _write_csv(out / "increments.csv", cfg,
@@ -499,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r-min", dest="r_min", type=float)
     parser.add_argument("--r-max", dest="r_max", type=float)
     parser.add_argument("--out")
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--timestamp", action="store_true", default=None,
                         help="embed a generation timestamp in SVG output")
     parser.add_argument("command",

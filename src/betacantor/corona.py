@@ -68,19 +68,6 @@ class Lattice:
     def root(self) -> LatticeCube:
         return self.levels[0][0]
 
-    def side_length(self, cube: LatticeCube) -> float:
-        return 56.0 * self.c0 * cube.radius
-
-    def cube_chain(self, atom_index: int) -> List[LatticeCube]:
-        """The cube containing an atom at every level, coarse to fine."""
-        chain = []
-        for lvl in self.levels:
-            for q in lvl:
-                if atom_index in q.members:
-                    chain.append(q)
-                    break
-        return chain
-
     def assert_invariants(self) -> None:
         """Partition, nesting, ball containment and 5B-disjointness; raises
         ``InvariantViolationError`` on any failure."""
@@ -382,7 +369,8 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
     if beta_sample is None or beta_sample >= n:
         rhs_beta = 0.0
         for i in range(n):
-            rhs_beta += ms[i] * square_function(mu, (xs[i], ys[i]), 2.0, grid)
+            rhs_beta += ms[i] * square_function(
+                mu, (xs[i], ys[i]), 2.0, grid)[0]
     else:
         rng = random.Random(seed)
         probs = ms / ms.sum()
@@ -391,7 +379,7 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
         for _ in range(beta_sample):
             i = int(np.searchsorted(cum, rng.random()))
             i = min(i, n - 1)
-            acc += square_function(mu, (xs[i], ys[i]), 2.0, grid)
+            acc += square_function(mu, (xs[i], ys[i]), 2.0, grid)[0]
         rhs_beta = total * acc / beta_sample
     return PackingReport(lhs, rhs_mass, rhs_beta, c_star, len(tree.roots))
 

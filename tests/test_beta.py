@@ -83,8 +83,17 @@ class TestNormalizations:
 
     def test_both_variant_helper(self):
         b, t = beta_both(FOUR_ATOMS, (0, F(1, 10)), 2, p=2)
-        assert b == pytest.approx(math.sqrt(0.005), abs=1e-12)
-        assert t == pytest.approx(0.05, abs=1e-12)
+        assert b.value == pytest.approx(math.sqrt(0.005), abs=1e-12)
+        assert t.value == pytest.approx(0.05, abs=1e-12)
+        # one search serves both variants: same values as separate calls
+        for p in (1.5, 2.0):
+            b, t = beta_both(FOUR_ATOMS, (0, F(1, 10)), 2, p)
+            assert b == beta(FOUR_ATOMS, (0, F(1, 10)), 2, p, "beta")
+            assert t == beta(FOUR_ATOMS, (0, F(1, 10)), 2, p, "betaTilde")
+        empty = AtomicMeasure([(10, 10, 1)])
+        b, t = beta_both(empty, (0, 0), 1, p=2)
+        assert b.value == beta(empty, (0, 0), 1, p=2).value == 0.0
+        assert t is None
 
     def test_empty_ball(self):
         mu = AtomicMeasure([(10, 10, 1)])
@@ -335,23 +344,22 @@ class TestSquareFunction:
         mu = SegmentMeasure([WeightedSegment(RationalPoint(-2, 0),
                                              RationalPoint(2, 0), 1)])
         grid = ScaleGrid(0.01, 1.0)
-        assert square_function(mu, (0, 0), 2.0, grid) == 0.0
-        assert square_function(mu, (0, 0), 2.0, grid,
-                               variant="betaTilde") == 0.0
+        b, t = square_function(mu, (0, 0), 2.0, grid)
+        assert b == 0.0
+        assert t == 0.0
 
     def test_monotone_under_grid_extension(self):
         mu = FOUR_ATOMS
         v_coarse = square_function(mu, (0, F(1, 10)), 2.0,
-                                   ScaleGrid(0.5, 4.0))
+                                   ScaleGrid(0.5, 4.0))[0]
         v_fine = square_function(mu, (0, F(1, 10)), 2.0,
-                                 ScaleGrid(0.05, 4.0))
+                                 ScaleGrid(0.05, 4.0))[0]
         assert v_fine >= v_coarse - 1e-15
 
     def test_empty_ball_scales_counted(self):
         mu = AtomicMeasure([(0, 0, 1)])
         det = SquareFunctionDetails()
-        square_function(mu, (5, 0), 2.0, ScaleGrid(0.5, 8.0),
-                        variant="betaTilde", details=det)
+        square_function(mu, (5, 0), 2.0, ScaleGrid(0.5, 8.0), details=det)
         assert det.empty_balls > 0
 
     def test_tame_increment_tracks_a(self):

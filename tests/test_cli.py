@@ -1,6 +1,8 @@
 """Command-line front end: files, determinism, exit codes, schema."""
 
+import importlib
 import json
+from collections import Counter
 
 from betacantor.cli import main
 from betacantor.measures import read_measure
@@ -142,3 +144,38 @@ class TestPipelines:
         comparison = (out2 / "comparison.csv").read_text().strip()
         ratio = float(comparison.splitlines()[-1].split(",")[-1])
         assert 0 < ratio < 10
+
+
+class TestOneSearchPerCoefficient:
+    # 2 points x 2 exponents; 6 grid radii 0.5 * 2^-m >= 0.01; the tame
+    # increment windows (1/8, 1/2] and (1/64, 1/16] hold 2 scales each
+    ARGS = ["--flavor", "tame", "--k-max", "2", "--samples", "2",
+            "--p", "1.5", "2", "--seed", "4", "--r-min", "0.01",
+            "--r-max", "0.5", "--lambda", "0.5"]
+
+    def searches(self, monkeypatch, tmp_path, command):
+        # the package namespace shadows the module with the function beta
+        module = importlib.import_module("betacantor.beta")
+        core = module._beta_core
+        calls = []
+
+        def counting(mu, x, r, p):
+            calls.append((mu.gen, float(x[0]), float(x[1]), float(r), p))
+            return core(mu, x, r, p)
+
+        monkeypatch.setattr(module, "_beta_core", counting)
+        assert run(*self.ARGS, "--out", str(tmp_path / command),
+                   command) == 0
+        return Counter(calls)
+
+    def test_beta_searches_once_per_point_p_radius(self, monkeypatch,
+                                                   tmp_path):
+        calls = self.searches(monkeypatch, tmp_path, "beta")
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == 2 * 2 * 6
+
+    def test_sqfn_searches_once_per_point_p_radius(self, monkeypatch,
+                                                   tmp_path):
+        calls = self.searches(monkeypatch, tmp_path, "sqfn")
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == 2 * 2 * (6 + 2 + 2)

@@ -226,8 +226,8 @@ class TestFaithfulCoverage:
         for seg, (cx, cy, r) in zip(mt.segments, fam.balls):
             x_t = ((seg.left.x + seg.right.x) / 2, seg.y)
             grid = ScaleGrid(float(fam.rho) / 4, 2.0)
-            lhs = bc.square_function(mt, x_t, 2.0, grid)
+            lhs = bc.square_function(mt, x_t, 2.0, grid)[0]
             grid20 = ScaleGrid(float(fam.rho) * 5, 40.0)
-            rhs = bc.square_function(mu, (cx, cy), 2.0, grid20)
+            rhs = bc.square_function(mu, (cx, cy), 2.0, grid20)[0]
             worst = max(worst, lhs / (rhs + 1.0))
         assert worst < 50.0
