@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .cantor import CantorMeasure
 from .errors import EmptyBallError
 from .geometry import Ball, Line, Scalar, to_fraction
-from .measures import AtomicMeasure, SegmentMeasure
+from .measures import AnyMeasure, AtomicMeasure, SegmentMeasure
 
 PHI_GRID = 180              # outer uniform grid over [0, pi)
 PHI_TOL = 1e-8              # golden-section stopping width on the angle
@@ -38,8 +38,6 @@ C_BISECT_ITERS = 46         # offset bisection steps (range <= 2.2)
 C_BISECT_COARSE = 22        # cheap pass used only to rank directions
 CLIP_TOL = 1e-12            # relative to the rescaled radius (= 1)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-AnyMeasure = Union[SegmentMeasure, AtomicMeasure, CantorMeasure]
 
 
 def _abs_pow(v: np.ndarray, q: float) -> np.ndarray:

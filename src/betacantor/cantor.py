@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (ResourceBudgetError, ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        segment_ball_intersects, to_fraction)
@@ -500,8 +502,14 @@ class CantorMeasure:
         return SegmentMeasure(out, generation=self.gen)
 
     def ball_mass(self, ball: Ball) -> Fraction:
-        from .measures import ball_mass as _bm
-        return _bm(self.window((ball.cx, ball.cy), ball.radius), ball)
+        """Exact mass of the closed ball, from the lazy window around it."""
+        return self.window((ball.cx, ball.cy), ball.radius).ball_mass(ball)
+
+    def ball_masses(self, cx: float, cy: float,
+                    radii: Sequence[float]) -> np.ndarray:
+        """The exact masses of ``B((cx, cy), r)``, rounded to floats."""
+        return np.array([float(self.ball_mass(Ball((cx, cy), r)))
+                         for r in radii], dtype=float)
 
 
 # ---------------------------------------------------------------------------

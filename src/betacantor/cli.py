@@ -33,7 +33,7 @@ from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
 from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12, window_refine)
-from .corona import build_lattice, corona_decompose, packing_report
+from .corona import MIN_A0, build_lattice, corona_decompose, packing_report
 from .density import (build_mu_tilde, restricted_maximal_comparison,
                       unrectifiability_witness)
 from .errors import (ConfigError, InvariantViolationError,
@@ -149,6 +149,27 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("lambda must lie in (0,1)")
     if not 0 < cfg.r_min < cfg.r_max:
         raise ConfigError("need 0 < r_min < r_max")
+    # corona / approx parameters, checked here so that a bad value exits 2
+    if cfg.a0 < MIN_A0:
+        raise ConfigError(f"a0 must be at least {MIN_A0}")
+    if cfg.c0 < 1:
+        raise ConfigError("c0 must be at least 1")
+    if cfg.depth < 0:
+        raise ConfigError("depth must be nonnegative")
+    if cfg.c_thr <= 1:
+        raise ConfigError("c_thr must exceed 1")
+    if cfg.vitali_lambda <= 2:
+        raise ConfigError("vitali_lambda must exceed 2")
+    try:
+        rho = Fraction(cfg.rho)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"rho must be a rational, got {cfg.rho!r}") from None
+    if rho <= 0:
+        raise ConfigError("rho must be positive")
+    if not 0 < cfg.eps < 0.5:
+        raise ConfigError("eps must lie in (0, 1/2)")
+    if cfg.beta_sample is not None and cfg.beta_sample < 1:
+        raise ConfigError("beta_sample must be positive")
     return cfg
 
 
@@ -442,10 +463,9 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
         c_star=2.0)
     write_measure(mu_tilde, out / "mu_tilde.txt")
     rows = []
-    from .measures import ball_mass as _bm
     for (cx, cy, r), m in zip(family.balls, family.masses):
-        m_lam = _bm(atoms, Ball((cx, cy),
-                                r * Fraction(cfg.vitali_lambda).limit_denominator()))
+        m_lam = atoms.ball_mass(Ball(
+            (cx, cy), r * Fraction(cfg.vitali_lambda).limit_denominator()))
         doubling_ok = float(m_lam) <= 2.0 * cfg.vitali_lambda ** 2 * float(m)
         growth_ok = float(m) <= 10.0 * 2.0 * cfg.vitali_lambda * float(r)
         rows.append((float(cx), float(cy), float(r), float(m),

@@ -111,12 +111,6 @@ class Lattice:
                             "5B balls intersect at one level")
 
 
-def _ball_mass_float(mu: AtomicMeasure, cx: float, cy: float,
-                     r: float) -> float:
-    xs, ys, ms = mu.float_arrays()
-    return float(ms[(xs - cx) ** 2 + (ys - cy) ** 2 <= r * r].sum())
-
-
 def _greedy_net(xs: np.ndarray, ys: np.ndarray, ms: np.ndarray,
                 spacing: float) -> List[int]:
     """Maximal net: atoms in decreasing-mass order (ties lexicographic),
@@ -249,8 +243,8 @@ class CoronaTree:
         """Empirical constant in ``mu(2 B_R) <= C mu(R)`` over roots."""
         worst = 0.0
         for root in self.roots:
-            m2b = _ball_mass_float(self.lattice.mu, root.center[0],
-                                   root.center[1], 56.0 * root.radius)
+            m2b = float(self.lattice.mu.ball_masses(
+                root.center[0], root.center[1], [56.0 * root.radius])[0])
             worst = max(worst, m2b / max(self.mass_of(root), 1e-300))
         return worst
 
@@ -300,7 +294,7 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
         r_supp = float(np.hypot(xs - q.center[0], ys - q.center[1]).max())
         if r_supp > 0 and r_supp <= r2:
             return total / r_supp  # saturated: the ball holds everything
-        return _ball_mass_float(mu, q.center[0], q.center[1], r2) / r2
+        return float(mu.ball_masses(q.center[0], q.center[1], [r2])[0]) / r2
 
     for q in lattice.cubes:
         tree.theta2b[q.cube_id] = theta(q)
@@ -350,7 +344,10 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
     ``beta_sample`` caps the number of atoms whose square function is
     evaluated (mass-weighted sampling with the given seed); the sum is then
     the unbiased estimate ``total_mass * mean(sampled square functions)``.
+    A ``beta_sample`` below 1 raises ``ValueError``.
     """
+    if beta_sample is not None and beta_sample < 1:
+        raise ValueError("beta_sample must be positive")
     lattice = tree.lattice
     mu = lattice.mu
     lhs = sum(tree.theta2b[r.cube_id] * tree.mass_of(r) for r in tree.roots)
@@ -359,7 +356,7 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
     for q in lattice.cubes:
         if q.level == lattice.k0:
             continue  # top scale anchors r0; growth observed below it
-        m = _ball_mass_float(mu, q.center[0], q.center[1], q.radius)
+        m = float(mu.ball_masses(q.center[0], q.center[1], [q.radius])[0])
         c_star = max(c_star, m / q.radius)
     total = float(mu.total_mass)
     rhs_mass = c_star * total

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,30 +26,7 @@ from .cantor import (UP, CantorMeasure, PointAddress, Schedule, classify,
 from .errors import ResourceBudgetError
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        to_fraction)
-from .measures import AtomicMeasure, Measure, SegmentMeasure, ball_mass
-
-AnyMeasure = Union[SegmentMeasure, AtomicMeasure, CantorMeasure]
-
-
-def _mass_exact(mu: AnyMeasure, center, radius) -> Fraction:
-    ball = Ball(center, radius)
-    if isinstance(mu, CantorMeasure):
-        return mu.ball_mass(ball)
-    return ball_mass(mu, ball)
-
-
-def _mass_float(mu: AnyMeasure, cx: float, cy: float, r: float) -> float:
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.float_arrays()
-        return float(ms[(xs - cx) ** 2 + (ys - cy) ** 2 <= r * r].sum())
-    if isinstance(mu, SegmentMeasure):
-        ss, ee, yy, rr = mu.float_arrays()
-        w2 = r * r - (yy - cy) ** 2
-        w = np.sqrt(np.maximum(0.0, w2))
-        lo = np.maximum(ss, cx - w)
-        hi = np.minimum(ee, cx + w)
-        return float((rr * np.maximum(0.0, hi - lo)).sum())
-    return float(_mass_exact(mu, (cx, cy), to_fraction(r)))
+from .measures import AnyMeasure, AtomicMeasure, SegmentMeasure
 
 
 @dataclass(frozen=True)
@@ -67,7 +44,7 @@ def density_profile(mu: AnyMeasure, x, grid: ScaleGrid) -> DensityProfile:
     """One-dimensional density ratios of ``mu`` at ``x`` over the grid."""
     samples = []
     for r in grid.radii():
-        m = float(_mass_exact(mu, x, to_fraction(r)))
+        m = float(mu.ball_mass(Ball(x, to_fraction(r))))
         samples.append((r, m / (2.0 * r)))
     return DensityProfile((float(x[0]), float(x[1])), tuple(samples))
 
@@ -109,9 +86,10 @@ def doubling_scales(mu: AnyMeasure, x, lam: float, c_star: float,
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
     out = []
-    for r in grid.radii():
-        m_r = _mass_float(mu, fx, fy, r)
-        m_lr = _mass_float(mu, fx, fy, r * lam)
+    radii = grid.radii()
+    masses = mu.ball_masses(fx, fy, radii)
+    dilated = mu.ball_masses(fx, fy, [r * lam for r in radii])
+    for r, m_r, m_lr in zip(radii, masses, dilated):
         if m_lr <= 2.0 * lam ** d * m_r and m_r <= 10.0 * c_star * lam ** n * r ** n:
             out.append(r)
     return out
@@ -131,11 +109,11 @@ def doubling_descent(mu: AnyMeasure, x, s: float, lam: float, c_star: float,
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
     s = float(s)
-    if _mass_float(mu, fx, fy, s) / s ** n > 2.0 * c_star:
+    if mu.ball_masses(fx, fy, [s])[0] / s ** n > 2.0 * c_star:
         raise ValueError("descent start must have density ratio <= 2 c_star")
     for j in range(max_steps + 1):
         r = s * lam ** (-j)
-        if _mass_float(mu, fx, fy, r) / r ** n >= 3.0 * c_star:
+        if mu.ball_masses(fx, fy, [r])[0] / r ** n >= 3.0 * c_star:
             return r
     return None
 
@@ -234,44 +212,22 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     radii = [rho * Fraction(1, 2 ** i) for i in range(radius_levels)]
     centers = _candidate_centers(mu, rho, seed, max_centers)
 
-    # screening in floats: (mass, center, radius) for every passing ball
+    # screening in floats: (mass, center, radius) for every passing ball;
+    # the dilated mass is only needed where the ball itself has mass
     candidates: List[Tuple[float, Fraction, Fraction, Fraction]] = []
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.float_arrays()
-        for cx, cy in centers:
-            fx, fy = float(cx), float(cy)
-            d = np.hypot(xs - fx, ys - fy)
-            order = np.argsort(d, kind="stable")
-            ds = d[order]
-            cum = np.cumsum(ms[order])
-
-            def mass_at(r: float) -> float:
-                idx = int(np.searchsorted(ds, r, side="right"))
-                return float(cum[idx - 1]) if idx else 0.0
-
-            for r in radii:
-                fr = float(r)
-                m = mass_at(fr)
-                if m <= 0:
-                    continue
-                if mass_at(lam * fr) > 2.0 * lam ** 2 * m:
-                    continue
-                if m > 10.0 * c_star * lam * fr:
-                    continue
-                candidates.append((m, cx, cy, r))
-    else:
-        for cx, cy in centers:
-            fx, fy = float(cx), float(cy)
-            for r in radii:
-                fr = float(r)
-                m = _mass_float(mu, fx, fy, fr)
-                if m <= 0:
-                    continue
-                if _mass_float(mu, fx, fy, lam * fr) > 2.0 * lam ** 2 * m:
-                    continue
-                if m > 10.0 * c_star * lam * fr:
-                    continue
-                candidates.append((m, cx, cy, r))
+    fradii = [float(r) for r in radii]
+    for cx, cy in centers:
+        fx, fy = float(cx), float(cy)
+        masses = mu.ball_masses(fx, fy, fradii)
+        live = [i for i, m in enumerate(masses) if m > 0]
+        dilated = mu.ball_masses(fx, fy, [lam * fradii[i] for i in live])
+        for i, m_lam in zip(live, dilated):
+            m, fr = float(masses[i]), fradii[i]
+            if m_lam > 2.0 * lam ** 2 * m:
+                continue
+            if m > 10.0 * c_star * lam * fr:
+                continue
+            candidates.append((m, cx, cy, radii[i]))
 
     # greedy order: decreasing mass, lexicographic center, larger radius
     candidates.sort(key=lambda t: (-t[0], t[1], t[2], -t[3]))
@@ -280,20 +236,7 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     sel_x: List[float] = []
     sel_y: List[float] = []
     sel_r: List[float] = []
-    covered = 0.0
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.float_arrays()
-        uncovered_mask = ms > 0
-
-        def cover(cx: float, cy: float, r: float) -> float:
-            nonlocal uncovered_mask
-            hit = uncovered_mask & ((xs - cx) ** 2 + (ys - cy) ** 2 <= r * r)
-            uncovered_mask = uncovered_mask & ~hit
-            return float(ms[hit].sum())
-    else:
-        def cover(cx: float, cy: float, r: float) -> float:
-            return 0.0  # coverage tracked by disjoint ball masses below
-
+    covered = 0.0  # the selected balls are disjoint, so masses add
     target = (1.0 - eps) * total
     for m, cx, cy, r in candidates:
         if covered >= target * (1.0 - 1e-12):
@@ -311,17 +254,14 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
         sel_x.append(fx)
         sel_y.append(fy)
         sel_r.append(fr)
-        if isinstance(mu, AtomicMeasure):
-            covered += cover(fx, fy, fr)
-        else:
-            covered += m
+        covered += m
 
     if covered < target * (1.0 - 1e-12):
         raise ResourceBudgetError(
             f"greedy selection covered {covered/total:.4f} of the mass; "
             f"cannot reach 1-eps={1-eps} (rho too small?)")
 
-    masses = tuple(_mass_exact(mu, (cx, cy), r) for cx, cy, r in selected)
+    masses = tuple(mu.ball_mass(Ball((cx, cy), r)) for cx, cy, r in selected)
     segments = []
     for (cx, cy, r), m in zip(selected, masses):
         half = r / 2
@@ -335,22 +275,11 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
 
 def maximal_function(mu: AnyMeasure, x, grid: ScaleGrid, n: int = 1) -> float:
     """Grid-restricted maximal function ``max_r mu(B(x,r)) / r^n``."""
-    fx, fy = float(x[0]), float(x[1])
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.float_arrays()
-        d = np.hypot(xs - fx, ys - fy)
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cum = np.cumsum(ms[order])
-        best = 0.0
-        for r in grid.radii():
-            idx = int(np.searchsorted(ds, r, side="right"))
-            if idx:
-                best = max(best, float(cum[idx - 1]) / r ** n)
-        return best
+    radii = grid.radii()
+    masses = mu.ball_masses(float(x[0]), float(x[1]), radii)
     best = 0.0
-    for r in grid.radii():
-        best = max(best, _mass_float(mu, fx, fy, r) / r ** n)
+    for r, m in zip(radii, masses):
+        best = max(best, float(m) / r ** n)
     return best
 
 

@@ -8,6 +8,14 @@ Two concrete representations are used throughout:
   constructions, and ad-hoc unions);
 * ``AtomicMeasure`` -- a finite collection of point masses (discrete input
   for the lattice/corona machinery and for oracle tests).
+
+Ball-mass protocol: every measure kind (these two and the lazy
+``cantor.CantorMeasure``, together ``AnyMeasure``) answers
+
+* ``ball_mass(ball) -> Fraction`` -- the exact mass of a closed ball;
+* ``ball_masses(cx, cy, radii) -> np.ndarray`` -- float masses of the
+  closed balls ``B((cx, cy), r)``, one per radius, for screening many
+  balls around one center.
 """
 
 from __future__ import annotations
@@ -16,12 +24,16 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        clip_segment_to_ball, diameter, to_fraction)
+
+if TYPE_CHECKING:
+    from .cantor import CantorMeasure
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,29 @@ class SegmentMeasure:
             rr = np.array([float(s.density) for s in self.segments])
             object.__setattr__(self, "_floats", (ss, ee, yy, rr))
         return self._floats  # type: ignore[attr-defined]
+
+    def ball_mass(self, ball: Ball) -> Fraction:
+        """Clipped lengths times densities; exact whenever the chord
+        endpoints are rational."""
+        total = Fraction(0)
+        for seg in self.segments:
+            bounds = clip_segment_to_ball(seg, ball)
+            if bounds is not None:
+                total += seg.density * (bounds[1] - bounds[0])
+        return total
+
+    def ball_masses(self, cx: float, cy: float,
+                    radii: Sequence[float]) -> np.ndarray:
+        """Float chord masses of ``B((cx, cy), r)`` for each radius."""
+        ss, ee, yy, rr = self.float_arrays()
+        dy2 = (yy - cy) ** 2
+        out = np.empty(len(radii))
+        for i, r in enumerate(radii):
+            w = np.sqrt(np.maximum(0.0, r * r - dy2))
+            lo = np.maximum(ss, cx - w)
+            hi = np.minimum(ee, cx + w)
+            out[i] = (rr * np.maximum(0.0, hi - lo)).sum()
+        return out
 
     def diameter(self) -> float:
         return diameter(self.endpoints())
@@ -123,32 +158,42 @@ class AtomicMeasure:
     def points(self) -> List[Tuple[Fraction, Fraction]]:
         return [(x, y) for x, y, _ in self.atoms]
 
+    def ball_mass(self, ball: Ball) -> Fraction:
+        """Exact sum of the atom masses inside the closed ball."""
+        total = Fraction(0)
+        r2 = ball.radius * ball.radius
+        for x, y, m in self.atoms:
+            if (x - ball.cx) ** 2 + (y - ball.cy) ** 2 <= r2:
+                total += m
+        return total
+
+    def ball_masses(self, cx: float, cy: float,
+                    radii: Sequence[float]) -> np.ndarray:
+        """Float masses of ``B((cx, cy), r)`` for each radius: prefix sums
+        over the atoms within the largest radius, stably sorted by distance
+        (a prefix of the full stable order, so the sums match it bit for
+        bit)."""
+        radii = np.asarray(radii, dtype=float)
+        if radii.size == 0:
+            return np.zeros(0)
+        xs, ys, ms = self.float_arrays()
+        d = np.hypot(xs - cx, ys - cy)
+        near = d <= radii.max()
+        d = d[near]
+        order = np.argsort(d, kind="stable")
+        cum = np.concatenate(([0.0], np.cumsum(ms[near][order])))
+        return cum[np.searchsorted(d[order], radii, side="right")]
+
     def diameter(self) -> float:
         return diameter(self.points())
 
 
-Measure = Union[SegmentMeasure, AtomicMeasure]
+AnyMeasure = Union[SegmentMeasure, AtomicMeasure, "CantorMeasure"]
 
 
-def ball_mass(mu: Measure, ball: Ball) -> Fraction:
-    """Mass of a closed ball: clipped lengths times densities for segments,
-    or the sum of atom masses inside the ball.
-
-    Exact whenever the chord endpoints are rational (always for atoms).
-    """
-    if isinstance(mu, AtomicMeasure):
-        total = Fraction(0)
-        r2 = ball.radius * ball.radius
-        for x, y, m in mu.atoms:
-            if (x - ball.cx) ** 2 + (y - ball.cy) ** 2 <= r2:
-                total += m
-        return total
-    total = Fraction(0)
-    for seg in mu.segments:
-        bounds = clip_segment_to_ball(seg, ball)
-        if bounds is not None:
-            total += seg.density * (bounds[1] - bounds[0])
-    return total
+def ball_mass(mu: AnyMeasure, ball: Ball) -> Fraction:
+    """Exact mass of a closed ball under any measure kind."""
+    return mu.ball_mass(ball)
 
 
 def clip_measure(mu: SegmentMeasure, ball: Ball) -> SegmentMeasure:
@@ -203,7 +248,7 @@ def _parse_rational(tok: str) -> Fraction:
     return Fraction(tok)
 
 
-def dumps_measure(mu: Measure) -> str:
+def dumps_measure(mu: SegmentMeasure | AtomicMeasure) -> str:
     """Serialize a measure in the line-oriented text format."""
     out = io.StringIO()
     if isinstance(mu, SegmentMeasure):
@@ -220,7 +265,7 @@ def dumps_measure(mu: Measure) -> str:
     return out.getvalue()
 
 
-def loads_measure(text: str) -> Measure:
+def loads_measure(text: str) -> SegmentMeasure | AtomicMeasure:
     """Parse the text format back into a measure.
 
     Files must be homogeneous: all-``S`` gives a ``SegmentMeasure``,
@@ -256,11 +301,11 @@ def loads_measure(text: str) -> Measure:
     return SegmentMeasure(segments)
 
 
-def write_measure(mu: Measure, path) -> None:
+def write_measure(mu: SegmentMeasure | AtomicMeasure, path) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_measure(mu))
 
 
-def read_measure(path) -> Measure:
+def read_measure(path) -> SegmentMeasure | AtomicMeasure:
     with open(path) as fh:
         return loads_measure(fh.read())

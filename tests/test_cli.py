@@ -4,6 +4,8 @@ import importlib
 import json
 from collections import Counter
 
+import pytest
+
 from betacantor.cli import main
 from betacantor.measures import read_measure
 
@@ -79,6 +81,17 @@ class TestExitCodes:
     def test_schedule_budget_exhaustion(self, tmp_path):
         assert run("--flavor", "thm11", "--k-max", "12",
                    "--out", str(tmp_path / "x"), "generate") == 3
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("corona", "a0", 10), ("corona", "c0", 0.5), ("corona", "depth", -1),
+        ("corona", "c_thr", 0.5), ("corona", "beta_sample", 0),
+        ("approx", "eps", 0.7), ("approx", "vitali_lambda", 2.0),
+        ("approx", "rho", "0"), ("approx", "rho", "1/0"),
+    ])
+    def test_out_of_range_corona_approx_values(self, tmp_path, command, key,
+                                               value):
+        path = write_config(tmp_path, **{key: value})
+        assert run("--config", str(path), command) == 2
 
     def test_bad_p(self, tmp_path):
         assert run("--flavor", "tame", "--p", "0.5",

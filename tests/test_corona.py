@@ -152,6 +152,12 @@ class TestPacking:
         rep = packing_report(tree, ScaleGrid(5e-3, 2.0))
         assert 0 < rep.ratio < math.inf
 
+    def test_empty_sample_rejected(self):
+        tree = corona_decompose(build_lattice(uniform_line(), depth=1), 2.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                packing_report(tree, ScaleGrid(1e-2, 2.0), beta_sample=bad)
+
     def test_scale_invariance_at_net_ratio(self):
         # rescaling support and masses by a net-ratio power shifts every
         # lattice level by one, leaving the packing sides proportional

@@ -91,9 +91,7 @@ class TestDoubling:
         x = (F(1, 2), 0)
         r = doubling_descent(mu, x, 4.0, lam, c_star)
         assert r is not None
-        from betacantor.density import _mass_float
-        m_r = _mass_float(mu, 0.5, 0.0, r)
-        m_lr = _mass_float(mu, 0.5, 0.0, lam * r)
+        m_r, m_lr = mu.ball_masses(0.5, 0.0, [r, lam * r])
         assert m_lr <= lam * m_r * (1 + 1e-12)
         assert m_r <= 3 * c_star * lam * r * (1 + 1e-12)
 

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from betacantor import (AtomicMeasure, Ball, RationalPoint, SegmentMeasure,
-                        WeightedSegment, atomize, ball_mass, clip_measure,
-                        dumps_measure, loads_measure)
+from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
+                        SegmentMeasure, WeightedSegment, atomize, ball_mass,
+                        clip_measure, dumps_measure, loads_measure,
+                        schedule_tame)
+from betacantor.geometry import CLIP_REL_TOL
 
 LINE = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
                                        RationalPoint(1, 0), 1)])
@@ -48,6 +50,55 @@ class TestBallMass:
         both = SegmentMeasure(list(a.segments) + list(b.segments))
         ball = Ball((F(1, 2), F(1, 6)), F(2, 3))
         assert ball_mass(both, ball) == ball_mass(a, ball) + ball_mass(b, ball)
+
+
+class TestBallMasses:
+    """The float ``ball_masses`` of each measure kind against the exact
+    ``ball_mass``, one ball at a time."""
+
+    RADII = [0.25, 0.03, 1.3, 0.1, 0.6]  # unsorted on purpose
+    CENTERS = [(0.1, 0.05), (0.5, 0.0), (-0.3, 0.4)]
+
+    def reference(self, mu, cx, cy):
+        return [float(ball_mass(mu, Ball((cx, cy), r))) for r in self.RADII]
+
+    def test_segment_union(self):
+        rng = random.Random(7)
+        mu = SegmentMeasure([
+            WeightedSegment(RationalPoint(F(rng.randrange(-40, 0), 40), F(i, 9)),
+                            RationalPoint(F(rng.randrange(1, 40), 40), F(i, 9)),
+                            F(rng.randrange(1, 6)))
+            for i in range(-4, 5)])
+        # the exact path widens each irrational half-chord by CLIP_REL_TOL,
+        # so the reference itself sits up to that much above the true mass
+        for cx, cy in self.CENTERS:
+            got = mu.ball_masses(cx, cy, self.RADII)
+            assert got.tolist() == pytest.approx(
+                self.reference(mu, cx, cy), rel=2 * CLIP_REL_TOL, abs=0)
+
+    def test_atom_cloud(self):
+        rng = random.Random(8)
+        mu = AtomicMeasure([(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(0.1, 2.0)) for _ in range(300)])
+        xs, ys, _ = mu.float_arrays()
+        for cx, cy in self.CENTERS:
+            d = ((xs - cx) ** 2 + (ys - cy) ** 2) ** 0.5
+            # membership is decided far from rounding
+            assert all(abs(d - r).min() > 1e-9 for r in self.RADII)
+            got = mu.ball_masses(cx, cy, self.RADII)
+            assert got.tolist() == pytest.approx(
+                self.reference(mu, cx, cy), rel=1e-12, abs=0)
+
+    def test_cantor_matches_exactly(self):
+        mu = CantorMeasure(schedule_tame(2), 2)
+        for cx, cy in self.CENTERS:
+            got = mu.ball_masses(cx, cy, self.RADII)
+            assert got.tolist() == self.reference(mu, cx, cy)
+
+    def test_no_radii(self):
+        for mu in (LINE, AtomicMeasure([(0, 0, 1)]),
+                   CantorMeasure(schedule_tame(1), 1)):
+            assert mu.ball_masses(0.5, 0.0, []).shape == (0,)
 
 
 class TestStructure:
