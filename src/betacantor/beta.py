@@ -30,13 +30,12 @@ import numpy as np
 from .cantor import CantorMeasure
 from .errors import EmptyBallError
 from .geometry import Ball, Line, Scalar, to_fraction
-from .measures import AnyMeasure, AtomicMeasure, SegmentMeasure
+from .measures import AnyMeasure, Window
 
 PHI_GRID = 180              # outer uniform grid over [0, pi)
 PHI_TOL = 1e-8              # golden-section stopping width on the angle
 C_BISECT_ITERS = 46         # offset bisection steps (range <= 2.2)
 C_BISECT_COARSE = 22        # cheap pass used only to rank directions
-CLIP_TOL = 1e-12            # relative to the rescaled radius (= 1)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -110,99 +109,13 @@ class ScaleGrid:
         return math.log(1.0 / self.lam)
 
 
-class Window:
-    """A measure restricted to a ball and rescaled to the unit ball at the
-    origin: float arrays of chord-clipped horizontal segments plus atoms."""
-
-    __slots__ = ("seg_s", "seg_e", "seg_y", "seg_rho", "atom_x", "atom_y",
-                 "atom_m", "mass")
-
-    def __init__(self, seg_s, seg_e, seg_y, seg_rho, atom_x, atom_y, atom_m):
-        self.seg_s = np.asarray(seg_s, dtype=float)
-        self.seg_e = np.asarray(seg_e, dtype=float)
-        self.seg_y = np.asarray(seg_y, dtype=float)
-        self.seg_rho = np.asarray(seg_rho, dtype=float)
-        self.atom_x = np.asarray(atom_x, dtype=float)
-        self.atom_y = np.asarray(atom_y, dtype=float)
-        self.atom_m = np.asarray(atom_m, dtype=float)
-        self.mass = float((self.seg_rho * (self.seg_e - self.seg_s)).sum()
-                          + self.atom_m.sum())
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.seg_s)
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atom_x)
-
-    def support_points(self) -> np.ndarray:
-        pts = []
-        if self.n_segments:
-            pts.append(np.column_stack([self.seg_s, self.seg_y]))
-            pts.append(np.column_stack([self.seg_e, self.seg_y]))
-        if self.n_atoms:
-            pts.append(np.column_stack([self.atom_x, self.atom_y]))
-        if not pts:
-            return np.empty((0, 2))
-        return np.vstack(pts)
-
-
 def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
-    """Restrict ``mu`` to ``B(x, r)`` and rescale to the unit ball.
-
-    Rescaling is exact rational arithmetic; the chord clipping happens in
-    floats with tolerance ``CLIP_TOL`` relative to the unit radius.
-    """
-    cx = to_fraction(x[0])
-    cy = to_fraction(x[1])
-    rr = to_fraction(r)
-    if rr <= 0:
+    """Restrict ``mu`` to ``B(x, r)`` and rescale to the unit ball: the
+    measure's own ``unit_window`` at the exact center and radius."""
+    r = to_fraction(r)
+    if r <= 0:
         raise ValueError("radius must be positive")
-
-    if isinstance(mu, CantorMeasure):
-        mu = mu.window((cx, cy), rr)
-
-    seg_s: List[float] = []
-    seg_e: List[float] = []
-    seg_y: List[float] = []
-    seg_rho: List[float] = []
-    atom_x: List[float] = []
-    atom_y: List[float] = []
-    atom_m: List[float] = []
-
-    if isinstance(mu, SegmentMeasure):
-        for seg in mu.segments:
-            y = float((seg.y - cy) / rr)
-            if abs(y) > 1.0 + CLIP_TOL:
-                continue
-            w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
-            s = max(float((seg.left.x - cx) / rr), -w)
-            e = min(float((seg.right.x - cx) / rr), w)
-            if e - s <= 0.0:
-                continue
-            seg_s.append(s)
-            seg_e.append(e)
-            seg_y.append(y)
-            seg_rho.append(float(seg.density) * float(rr))
-    elif isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.float_arrays()
-        fcx, fcy, fr = float(cx), float(cy), float(rr)
-        d2 = (xs - fcx) ** 2 + (ys - fcy) ** 2
-        keep = d2 <= (fr * (1.0 + CLIP_TOL)) ** 2
-        atom_x = ((xs[keep] - fcx) / fr).tolist()
-        atom_y = ((ys[keep] - fcy) / fr).tolist()
-        atom_m = ms[keep].tolist()
-    else:
-        raise TypeError(f"unsupported measure type {type(mu)!r}")
-
-    # a unit of rescaled density keeps its value while lengths shrink by r,
-    # so rescaled masses are the original ones divided by r
-    scale = 1.0 / float(rr)
-    return Window(seg_s, seg_e, seg_y,
-                  np.asarray(seg_rho, dtype=float) * scale if seg_rho else [],
-                  atom_x, atom_y,
-                  np.asarray(atom_m) * scale if atom_m else [])
+    return mu.unit_window(to_fraction(x[0]), to_fraction(x[1]), r)
 
 
 # ---------------------------------------------------------------------------

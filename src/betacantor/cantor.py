@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ResourceBudgetError, ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        segment_ball_intersects, to_fraction)
-from .measures import SegmentMeasure
+from .measures import SegmentMeasure, Window
 
 DOWN = "d"
 UP = "u"
@@ -108,14 +108,6 @@ class Schedule:
             length /= self.n_of(k)
         return length
 
-    def max_length(self, gen: int) -> Fraction:
-        self.require_generation(gen)
-        length = ROOT.length
-        for k in range(1, gen + 1):
-            length *= max(self.a_of(k), 1 - self.a_of(k))
-            length /= self.n_of(k)
-        return length
-
     def segment_count(self, gen: int) -> int:
         """``m_gen = prod 2 n_k`` (exact integer)."""
         self.require_generation(gen)
@@ -123,10 +115,6 @@ class Schedule:
         for k in range(1, gen + 1):
             m *= 2 * self.n_of(k)
         return m
-
-    def h_tail(self, gen: int) -> Fraction:
-        """``sum_{j > gen} h_j`` over the generated range."""
-        return self._h_cum[-1] - self._h_cum[gen]
 
     def h_span(self, lo_gen: int, hi_gen: int) -> Fraction:
         """``sum_{j in (lo_gen, hi_gen]} h_j``."""
@@ -388,6 +376,8 @@ def window_refine(window: Ball, gen: int, sched: Schedule,
     where an address is the path of ``(child_index, branch)`` choices.
     """
     sched.require_generation(gen)
+    too_many = (f"window holds more than {max_segments} segments; raise "
+                f"max_segments or shrink the window")
     results = []
     addr_root: SegmentAddress = ()
     stack: List[Tuple[WeightedSegment, int, SegmentAddress]] = [
@@ -398,8 +388,7 @@ def window_refine(window: Ball, gen: int, sched: Schedule,
             if segment_ball_intersects(seg, window):
                 results.append((addr, seg))
                 if len(results) > max_segments:
-                    raise ResourceBudgetError(
-                        f"window holds more than {max_segments} segments")
+                    raise ResourceBudgetError(too_many)
             continue
         reach = sched.h_span(g, gen)
         if not _box_meets_ball(seg.left.x, seg.right.x, seg.y,
@@ -412,8 +401,7 @@ def window_refine(window: Ball, gen: int, sched: Schedule,
             if rng is None:
                 continue
             if (rng[1] - rng[0] + 1) > max_segments:
-                raise ResourceBudgetError(
-                    f"window holds more than {max_segments} segments")
+                raise ResourceBudgetError(too_many)
             for i in range(rng[0], rng[1] + 1):
                 stack.append((fam.child(i), g + 1, addr + ((i, fam.branch),)))
     results.sort(key=lambda t: t[0])
@@ -473,7 +461,12 @@ class CantorMeasure:
             seg, g = stack.pop()
             nodes += 1
             if nodes > self.max_nodes:
-                raise ResourceBudgetError("window descent budget exceeded")
+                raise ResourceBudgetError(
+                    f"window descent at center ({float(ball.cx):g}, "
+                    f"{float(ball.cy):g}), radius {float(ball.radius):g} "
+                    f"visits more than max_nodes={self.max_nodes} nodes; "
+                    f"raise max_nodes or coarsen rel_resolution (now "
+                    f"{self.rel_resolution})")
             reach = self.sched.h_span(g, self.gen)
             if not _box_meets_ball(seg.left.x, seg.right.x, seg.y,
                                    seg.y + reach, enlarged):
@@ -510,6 +503,23 @@ class CantorMeasure:
         """The exact masses of ``B((cx, cy), r)``, rounded to floats."""
         return np.array([float(self.ball_mass(Ball((cx, cy), r)))
                          for r in radii], dtype=float)
+
+    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
+        """The lazy window around ``B((cx, cy), r)``, rescaled to the unit
+        ball like any segment measure."""
+        return self.window((cx, cy), r).unit_window(cx, cy, r)
+
+    def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
+                          ) -> List[Tuple[Fraction, Fraction]]:
+        """The distinct support points of ``max_centers`` mass-uniform
+        address samples drawn from ``seed``, sorted (``rho`` is unused)."""
+        rng = random.Random(seed)
+        centers = set()
+        for _ in range(max_centers):
+            pt = point_of(sample_address(self.sched, self.gen, rng),
+                          self.sched)
+            centers.add((pt.x, pt.y))
+        return sorted(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +670,6 @@ class TransportCell:
     source_hi: Fraction
     target: WeightedSegment
     branch: str
-
-    @property
-    def source_mass(self) -> Fraction:
-        return self.source_hi - self.source_lo  # unit parent density
 
     def source_mass_at(self, density: Fraction) -> Fraction:
         return density * (self.source_hi - self.source_lo)

@@ -22,10 +22,11 @@ import json
 import math
 import random
 import sys
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import svgfig
 from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
@@ -44,6 +45,9 @@ from .measures import atomize, write_measure
 ENUMERATION_LIMIT = 200_000
 VARIANTS = ("beta", "betaTilde")
 
+#: a rational config value: a string such as "1/16", or a number
+RationalText = Union[str, float]
+
 
 @dataclass
 class ExperimentConfig:
@@ -55,24 +59,24 @@ class ExperimentConfig:
     lam: float = 2.0 ** -0.25
     r_min: float = 1e-4
     r_max: float = 0.5
-    h1: str = "1/128"
+    h1: RationalText = "1/128"
     out_dir: str = "out"
     timestamp: bool = False
-    # custom schedule sequences (rational strings), used when flavor=custom
-    custom_a: Tuple[str, ...] = ()
-    custom_h: Tuple[str, ...] = ()
+    # custom schedule sequences, used when flavor=custom
+    custom_a: Tuple[RationalText, ...] = ()
+    custom_h: Tuple[RationalText, ...] = ()
     custom_n: Tuple[int, ...] = ()
-    # optional window restriction for generate
-    window: Optional[Tuple[str, str, str]] = None  # cx, cy, radius
+    # optional window restriction for generate: cx, cy, radius
+    window: Optional[Tuple[RationalText, RationalText, RationalText]] = None
     # corona / approx parameters
     a0: float = 50.0
     c0: float = 10.0
     depth: int = 2
     c_thr: float = 2.0
     vitali_lambda: float = 100.0
-    rho: str = "1/16"
+    rho: RationalText = "1/16"
     eps: float = 0.1
-    beta_sample: int = 200
+    beta_sample: Optional[int] = 200
 
     def resolved_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -111,6 +115,28 @@ class ExperimentConfig:
         return ScaleGrid(self.r_min, self.r_max, self.lam)
 
 
+def _fits(tp, val) -> bool:
+    """Whether a parsed JSON/TOML value can stand for a config field of
+    type ``tp``: an int may stand for a float, a list for a tuple."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is Union:
+        return any(_fits(t, val) for t in args)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(val, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(args[0], v) for v in val)
+        return len(val) == len(args) and all(map(_fits, args, val))
+    if isinstance(val, bool) or tp is bool:
+        return type(val) is tp
+    return isinstance(val, (int, float) if tp is float else tp)
+
+
+def _type_name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp).replace(
+        "typing.", "")
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -122,9 +148,13 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             data = tomllib.loads(path.read_text())
         else:
             data = json.loads(path.read_text())
+        types = typing.get_type_hints(ExperimentConfig)
         for key, val in data.items():
-            if not hasattr(cfg, key):
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
+            if not _fits(types[key], val):
+                raise ConfigError(f"config key {key!r} cannot be {val!r}: "
+                                  f"expected {_type_name(types[key])}")
             if isinstance(val, list):
                 val = tuple(val)
             setattr(cfg, key, val)

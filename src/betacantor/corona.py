@@ -231,10 +231,6 @@ class CoronaTree:
     tree_of: Dict[int, int] = field(default_factory=dict)  # cube id -> root id
     theta2b: Dict[int, float] = field(default_factory=dict)
 
-    def tree_cubes(self, root: LatticeCube) -> List[LatticeCube]:
-        return [q for q in self.lattice.cubes
-                if self.tree_of[q.cube_id] == root.cube_id]
-
     def mass_of(self, cube: LatticeCube) -> float:
         _, _, ms = self.lattice.mu.float_arrays()
         return float(ms[sorted(cube.members)].sum())

@@ -13,7 +13,6 @@ approximating measure) are exact rationals.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -22,7 +21,7 @@ import numpy as np
 
 from .beta import ScaleGrid
 from .cantor import (UP, CantorMeasure, PointAddress, Schedule, classify,
-                     point_of, sample_address)
+                     point_of)
 from .errors import ResourceBudgetError
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        to_fraction)
@@ -148,33 +147,6 @@ class DoublingBallFamily:
         return True
 
 
-def _candidate_centers(mu: AnyMeasure, rho: Fraction, seed: int,
-                       max_centers: int,
-                       ) -> List[Tuple[Fraction, Fraction]]:
-    """Deterministic candidate centers on the support of any measure
-    kind."""
-    if isinstance(mu, AtomicMeasure):
-        centers = [(x, y) for x, y, _ in mu.atoms]
-        if len(centers) > max_centers:
-            rng = random.Random(seed)
-            centers = rng.sample(sorted(centers), max_centers)
-        return sorted(centers)
-    if isinstance(mu, CantorMeasure):
-        rng = random.Random(seed)
-        centers = set()
-        for _ in range(max_centers):
-            pa = sample_address(mu.sched, mu.gen, rng)
-            pt = point_of(pa, mu.sched)
-            centers.add((pt.x, pt.y))
-        return sorted(centers)
-    centers = set()
-    for seg in mu.segments:
-        steps = min(64, max(2, int(math.ceil(seg.length / rho)) * 2))
-        for i in range(steps + 1):
-            centers.add((seg.left.x + Fraction(i, steps) * seg.length, seg.y))
-    return sorted(centers)
-
-
 def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
                    c_star: float, radius_levels: int = 8,
                    max_balls: int = 100_000, max_centers: int = 4000,
@@ -210,7 +182,7 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
         raise ValueError("measure has no mass")
 
     radii = [rho * Fraction(1, 2 ** i) for i in range(radius_levels)]
-    centers = _candidate_centers(mu, rho, seed, max_centers)
+    centers = mu.candidate_centers(rho, seed, max_centers)
 
     # screening in floats: (mass, center, radius) for every passing ball;
     # the dilated mass is only needed where the ball itself has mass

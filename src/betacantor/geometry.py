@@ -46,13 +46,6 @@ class RationalPoint:
         object.__setattr__(self, "x", to_fraction(x))
         object.__setattr__(self, "y", to_fraction(y))
 
-    def as_floats(self) -> Tuple[float, float]:
-        return float(self.x), float(self.y)
-
-    def dist2(self, other: "RationalPoint") -> Fraction:
-        """Exact squared euclidean distance."""
-        return (self.x - other.x) ** 2 + (self.y - other.y) ** 2
-
 
 @dataclass(frozen=True)
 class WeightedSegment:
@@ -94,14 +87,6 @@ class WeightedSegment:
     @property
     def mass(self) -> Fraction:
         return self.density * self.length
-
-    def shifted(self, dx: Scalar, dy: Scalar) -> "WeightedSegment":
-        dx, dy = to_fraction(dx), to_fraction(dy)
-        return WeightedSegment(
-            RationalPoint(self.left.x + dx, self.left.y + dy),
-            RationalPoint(self.right.x + dx, self.right.y + dy),
-            self.density,
-        )
 
 
 @dataclass(frozen=True)
@@ -162,16 +147,6 @@ class Ball:
     @property
     def center(self) -> RationalPoint:
         return RationalPoint(self.cx, self.cy)
-
-    def contains(self, x: Scalar, y: Scalar) -> bool:
-        """Exact closed-ball membership for rational inputs."""
-        dx = to_fraction(x) - self.cx
-        dy = to_fraction(y) - self.cy
-        return dx * dx + dy * dy <= self.radius * self.radius
-
-    def scaled(self, s: Scalar) -> "Ball":
-        s = to_fraction(s)
-        return Ball((self.cx * s, self.cy * s), self.radius * s)
 
 
 def _sqrt_fraction_exact(q: Fraction) -> Optional[Fraction]:

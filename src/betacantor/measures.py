@@ -1,5 +1,5 @@
-"""Finite measures supported on horizontal segments or on point masses,
-their ball masses, and a line-oriented text serialization.
+"""Finite measures on horizontal segments or on point masses, their ball
+masses and unit windows, and a line-oriented text serialization.
 
 Two concrete representations are used throughout:
 
@@ -9,19 +9,26 @@ Two concrete representations are used throughout:
 * ``AtomicMeasure`` -- a finite collection of point masses (discrete input
   for the lattice/corona machinery and for oracle tests).
 
-Ball-mass protocol: every measure kind (these two and the lazy
-``cantor.CantorMeasure``, together ``AnyMeasure``) answers
+Every measure kind (these two and the lazy ``cantor.CantorMeasure``,
+together ``AnyMeasure``) answers the ball-mass protocol (the first two
+methods) and the window protocol (the last two):
 
 * ``ball_mass(ball) -> Fraction`` -- the exact mass of a closed ball;
 * ``ball_masses(cx, cy, radii) -> np.ndarray`` -- float masses of the
   closed balls ``B((cx, cy), r)``, one per radius, for screening many
-  balls around one center.
+  balls around one center;
+* ``unit_window(cx, cy, r) -> Window`` -- the restriction to the closed
+  ball ``B((cx, cy), r)`` (exact rational center and radius), rescaled to
+  the unit ball at the origin, for the best-line searches;
+* ``candidate_centers(rho, seed, max_centers)`` -- sorted, distinct,
+  deterministic support points, for centering candidate balls.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
@@ -29,11 +36,50 @@ from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
-                       clip_segment_to_ball, diameter, to_fraction)
+from .geometry import (CLIP_REL_TOL, Ball, RationalPoint, Scalar,
+                       WeightedSegment, clip_segment_to_ball, diameter,
+                       to_fraction)
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
+
+
+class Window:
+    """A measure restricted to a ball and rescaled to the unit ball at the
+    origin: float arrays of chord-clipped horizontal segments plus atoms."""
+
+    __slots__ = ("seg_s", "seg_e", "seg_y", "seg_rho", "atom_x", "atom_y",
+                 "atom_m", "mass")
+
+    def __init__(self, seg_s, seg_e, seg_y, seg_rho, atom_x, atom_y, atom_m):
+        self.seg_s = np.asarray(seg_s, dtype=float)
+        self.seg_e = np.asarray(seg_e, dtype=float)
+        self.seg_y = np.asarray(seg_y, dtype=float)
+        self.seg_rho = np.asarray(seg_rho, dtype=float)
+        self.atom_x = np.asarray(atom_x, dtype=float)
+        self.atom_y = np.asarray(atom_y, dtype=float)
+        self.atom_m = np.asarray(atom_m, dtype=float)
+        self.mass = float((self.seg_rho * (self.seg_e - self.seg_s)).sum()
+                          + self.atom_m.sum())
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.seg_s)
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.atom_x)
+
+    def support_points(self) -> np.ndarray:
+        pts = []
+        if self.n_segments:
+            pts.append(np.column_stack([self.seg_s, self.seg_y]))
+            pts.append(np.column_stack([self.seg_e, self.seg_y]))
+        if self.n_atoms:
+            pts.append(np.column_stack([self.atom_x, self.atom_y]))
+        if not pts:
+            return np.empty((0, 2))
+        return np.vstack(pts)
 
 
 @dataclass(frozen=True)
@@ -99,6 +145,46 @@ class SegmentMeasure:
             hi = np.minimum(ee, cx + w)
             out[i] = (rr * np.maximum(0.0, hi - lo)).sum()
         return out
+
+    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
+        """The segments in ``B((cx, cy), r)`` rescaled to the unit ball:
+        exact rational rescaling first, then the chord clip in floats with
+        tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
+        seg_s: List[float] = []
+        seg_e: List[float] = []
+        seg_y: List[float] = []
+        seg_rho: List[float] = []
+        for seg in self.segments:
+            y = float((seg.y - cy) / r)
+            if abs(y) > 1.0 + CLIP_REL_TOL:
+                continue
+            w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
+            s = max(float((seg.left.x - cx) / r), -w)
+            e = min(float((seg.right.x - cx) / r), w)
+            if e - s <= 0.0:
+                continue
+            seg_s.append(s)
+            seg_e.append(e)
+            seg_y.append(y)
+            seg_rho.append(float(seg.density) * float(r))
+        # a unit of rescaled density keeps its value while lengths shrink by
+        # r, so rescaled masses are the original ones divided by r
+        return Window(seg_s, seg_e, seg_y,
+                      np.asarray(seg_rho, dtype=float) * (1.0 / float(r)),
+                      [], [], [])
+
+    def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
+                          ) -> List[Tuple[Fraction, Fraction]]:
+        """Grid points along each segment, about ``rho / 2`` apart with 2 to
+        64 steps per segment, sorted and distinct (``seed`` and
+        ``max_centers`` are unused)."""
+        centers = set()
+        for seg in self.segments:
+            steps = min(64, max(2, int(math.ceil(seg.length / rho)) * 2))
+            for i in range(steps + 1):
+                centers.add((seg.left.x + Fraction(i, steps) * seg.length,
+                             seg.y))
+        return sorted(centers)
 
     def diameter(self) -> float:
         return diameter(self.endpoints())
@@ -183,6 +269,27 @@ class AtomicMeasure:
         order = np.argsort(d, kind="stable")
         cum = np.concatenate(([0.0], np.cumsum(ms[near][order])))
         return cum[np.searchsorted(d[order], radii, side="right")]
+
+    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
+        """The atoms in ``B((cx, cy), r)`` rescaled to the unit ball; the
+        membership test runs in floats with tolerance ``CLIP_REL_TOL``
+        relative to the radius."""
+        xs, ys, ms = self.float_arrays()
+        fcx, fcy, fr = float(cx), float(cy), float(r)
+        d2 = (xs - fcx) ** 2 + (ys - fcy) ** 2
+        keep = d2 <= (fr * (1.0 + CLIP_REL_TOL)) ** 2
+        return Window([], [], [], [], (xs[keep] - fcx) / fr,
+                      (ys[keep] - fcy) / fr, ms[keep] * (1.0 / fr))
+
+    def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
+                          ) -> List[Tuple[Fraction, Fraction]]:
+        """The distinct atom positions, sorted; a ``seed``-ed sample of
+        ``max_centers`` of them when there are more (``rho`` is unused)."""
+        centers = sorted(set(self.points()))
+        if len(centers) > max_centers:
+            rng = random.Random(seed)
+            centers = sorted(rng.sample(centers, max_centers))
+        return centers
 
     def diameter(self) -> float:
         return diameter(self.points())

@@ -228,6 +228,20 @@ class TestWindowedGeneration:
             tol = float(mu.rel_resolution * radius) * 4 + 1e-12
             assert abs(exact - lazy) <= tol
 
+    def test_budget_errors_say_what_to_change(self):
+        # this window expands more than a hundred parents
+        mu = CantorMeasure(schedule_tame(3), 3, max_nodes=10)
+        with pytest.raises(ResourceBudgetError) as err:
+            mu.window((F(1, 2), 0), F(1, 16))
+        msg = str(err.value)
+        assert "center (0.5, 0), radius 0.0625" in msg
+        assert "max_nodes=10" in msg
+        assert "raise max_nodes or coarsen rel_resolution" in msg
+        with pytest.raises(ResourceBudgetError,
+                           match="raise max_segments or shrink the window"):
+            window_refine(Ball((F(1, 2), 0), 4), 2, schedule_tame(2),
+                          max_segments=10)
+
     def test_separation_bound(self):
         for sched, gen in ((schedule_tame(2), 1), (schedule_tame(2), 2),
                            (schedule_thm11(1), 1)):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from betacantor.cli import main
+from betacantor.cli import build_parser, load_config, main
 from betacantor.measures import read_measure
 
 
@@ -92,6 +92,22 @@ class TestExitCodes:
                                                value):
         path = write_config(tmp_path, **{key: value})
         assert run("--config", str(path), command) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("corona", "depth", 2.5), ("corona", "a0", "50"),
+        ("beta", "p", 1.5), ("beta", "samples", "3"), ("approx", "eps", None),
+    ])
+    def test_mistyped_config_values(self, tmp_path, command, key, value):
+        path = write_config(tmp_path, **{key: value})
+        assert run("--config", str(path), command) == 2
+
+    def test_numeric_rho_and_null_beta_sample_accepted(self, tmp_path):
+        path = write_config(tmp_path, rho=0.0625, beta_sample=None,
+                            p=[1.5, 2], window=["0", 0, "1/8"])
+        cfg = load_config(build_parser().parse_args(
+            ["--config", str(path), "corona"]))
+        assert cfg.rho == 0.0625 and cfg.beta_sample is None
+        assert cfg.p == (1.5, 2)
 
     def test_bad_p(self, tmp_path):
         assert run("--flavor", "tame", "--p", "0.5",

@@ -7,8 +7,9 @@ import pytest
 
 from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         SegmentMeasure, WeightedSegment, atomize, ball_mass,
-                        clip_measure, dumps_measure, loads_measure,
+                        clip_measure, dumps_measure, loads_measure, locate,
                         schedule_tame)
+from betacantor.beta import build_window
 from betacantor.geometry import CLIP_REL_TOL
 
 LINE = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
@@ -52,6 +53,21 @@ class TestBallMass:
         assert ball_mass(both, ball) == ball_mass(a, ball) + ball_mass(b, ball)
 
 
+def segment_union(seed):
+    rng = random.Random(seed)
+    return SegmentMeasure([
+        WeightedSegment(RationalPoint(F(rng.randrange(-40, 0), 40), F(i, 9)),
+                        RationalPoint(F(rng.randrange(1, 40), 40), F(i, 9)),
+                        F(rng.randrange(1, 6)))
+        for i in range(-4, 5)])
+
+
+def atom_cloud(seed, n=300):
+    rng = random.Random(seed)
+    return AtomicMeasure([(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                           rng.uniform(0.1, 2.0)) for _ in range(n)])
+
+
 class TestBallMasses:
     """The float ``ball_masses`` of each measure kind against the exact
     ``ball_mass``, one ball at a time."""
@@ -63,12 +79,7 @@ class TestBallMasses:
         return [float(ball_mass(mu, Ball((cx, cy), r))) for r in self.RADII]
 
     def test_segment_union(self):
-        rng = random.Random(7)
-        mu = SegmentMeasure([
-            WeightedSegment(RationalPoint(F(rng.randrange(-40, 0), 40), F(i, 9)),
-                            RationalPoint(F(rng.randrange(1, 40), 40), F(i, 9)),
-                            F(rng.randrange(1, 6)))
-            for i in range(-4, 5)])
+        mu = segment_union(7)
         # the exact path widens each irrational half-chord by CLIP_REL_TOL,
         # so the reference itself sits up to that much above the true mass
         for cx, cy in self.CENTERS:
@@ -77,9 +88,7 @@ class TestBallMasses:
                 self.reference(mu, cx, cy), rel=2 * CLIP_REL_TOL, abs=0)
 
     def test_atom_cloud(self):
-        rng = random.Random(8)
-        mu = AtomicMeasure([(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                             rng.uniform(0.1, 2.0)) for _ in range(300)])
+        mu = atom_cloud(8)
         xs, ys, _ = mu.float_arrays()
         for cx, cy in self.CENTERS:
             d = ((xs - cx) ** 2 + (ys - cy) ** 2) ** 0.5
@@ -99,6 +108,88 @@ class TestBallMasses:
         for mu in (LINE, AtomicMeasure([(0, 0, 1)]),
                    CantorMeasure(schedule_tame(1), 1)):
             assert mu.ball_masses(0.5, 0.0, []).shape == (0,)
+
+
+#: one measure of each kind, with a box of centers around its support
+KINDS = [
+    ("segments", lambda: segment_union(7), (-1.0, 1.0, -0.5, 0.5)),
+    ("atoms", lambda: atom_cloud(8), (-1.0, 1.0, -1.0, 1.0)),
+    ("cantor", lambda: CantorMeasure(schedule_tame(2), 2),
+     (0.0, 1.0, 0.0, 0.2)),
+]
+
+
+class TestUnitWindow:
+    """The rescaled window of each measure kind carries the exact ball mass
+    divided by the radius, up to the float chord clip (near-tangent chords
+    amplify the float half-chord error)."""
+
+    @pytest.mark.parametrize("name, make, box", KINDS)
+    def test_mass_matches_ball_mass(self, name, make, box):
+        mu = make()
+        x0, x1, y0, y1 = box
+        rng = random.Random(21)
+        for _ in range(60):
+            cx = F(rng.uniform(x0, x1))
+            cy = F(rng.uniform(y0, y1))
+            r = F(2.0 ** rng.uniform(-7, 0))
+            win = mu.unit_window(cx, cy, r)
+            exact = float(mu.ball_mass(Ball((cx, cy), r)))
+            assert win.mass * float(r) == pytest.approx(exact, rel=1e-10,
+                                                        abs=0)
+            # the window lives in the unit ball
+            pts = win.support_points()
+            assert ((pts ** 2).sum(axis=1) <= 1.0 + 1e-9).all()
+
+    @pytest.mark.parametrize("name, make, box", KINDS)
+    def test_nonpositive_radius_rejected(self, name, make, box):
+        mu = make()
+        for r in (0, -1, F(-1, 3)):
+            with pytest.raises(ValueError):
+                build_window(mu, (F(1, 2), 0), r)
+
+
+class TestCandidateCenters:
+    """Candidate centers are sorted, distinct and on the support."""
+
+    @staticmethod
+    def sorted_distinct(centers):
+        return all(a < b for a, b in zip(centers, centers[1:]))
+
+    def test_atoms_sampled_from_positions(self):
+        mu = atom_cloud(9)
+        positions = set(mu.points())
+        sample = mu.candidate_centers(F(1, 16), seed=3, max_centers=50)
+        assert len(sample) == 50
+        assert set(sample) <= positions
+        assert self.sorted_distinct(sample)
+        assert sample == mu.candidate_centers(F(1, 16), 3, 50)
+        assert sample != mu.candidate_centers(F(1, 16), 4, 50)
+        every = mu.candidate_centers(F(1, 16), seed=3, max_centers=1000)
+        assert every == sorted(positions)
+        # coincident atoms give one center
+        twice = AtomicMeasure(list(mu.atoms) + list(mu.atoms[:5]))
+        assert twice.candidate_centers(F(1, 16), 3, 1000) == every
+        assert twice.candidate_centers(F(1, 16), 3, 50) == sample
+
+    def test_cantor_centers_on_support(self):
+        sched = schedule_tame(2)
+        mu = CantorMeasure(sched, 2)
+        centers = mu.candidate_centers(F(1, 16), seed=5, max_centers=40)
+        assert 0 < len(centers) <= 40
+        assert self.sorted_distinct(centers)
+        for cx, cy in centers:
+            locate(RationalPoint(cx, cy), 2, sched)  # raises off the support
+
+    def test_segment_grid_on_segments(self):
+        mu = segment_union(10)
+        centers = mu.candidate_centers(F(1, 16), seed=0, max_centers=1)
+        assert self.sorted_distinct(centers)
+        assert {(s.left.x, s.y) for s in mu.segments} <= set(centers)
+        assert {(s.right.x, s.y) for s in mu.segments} <= set(centers)
+        for cx, cy in centers:
+            assert any(s.y == cy and s.left.x <= cx <= s.right.x
+                       for s in mu.segments)
 
 
 class TestStructure:
