@@ -4,14 +4,13 @@ measures, Jones-type coefficients and square functions, density and
 rectifiability probes, and a net-lattice corona decomposition for atomic
 measures."""
 
-from .beta import (BetaResult, ScaleGrid, beta, beta_both, best_line_p2,
-                   best_line_search, beta_lower_bound_probe, increment_pair,
-                   square_function)
+from .beta import (BetaResult, ScaleGrid, beta, beta_both,
+                   beta_lower_bound_probe, increment_pair, square_function)
 from .cantor import (DOWN, UP, CantorMeasure, PointAddress, Schedule,
                      children, classify, generate, locate, point_of, refine,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12, segment_of, transport,
-                     transport_cells, window_refine)
+                     transport_cells)
 from .corona import (CoronaTree, Lattice, LatticeCube, build_lattice,
                      corona_decompose, maximal_via_corona, packing_report)
 from .density import (DensityProfile, DoublingBallFamily, build_mu_tilde,
@@ -21,9 +20,9 @@ from .density import (DensityProfile, DoublingBallFamily, build_mu_tilde,
 from .errors import (ConfigError, EmptyBallError, InvariantViolationError,
                      ResourceBudgetError, ScheduleExhaustedError)
 from .geometry import (Ball, Line, RationalPoint, WeightedSegment,
-                       clip_segment_to_ball, diameter, segment_line_p_moment)
+                       clip_segment_to_ball, diameter)
 from .measures import (AtomicMeasure, SegmentMeasure, atomize, ball_mass,
-                       clip_measure, dumps_measure, loads_measure,
-                       read_measure, write_measure)
+                       dumps_measure, loads_measure, read_measure,
+                       write_measure)
 
 __version__ = "0.1.0"

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .cantor import CantorMeasure
 from .errors import EmptyBallError
-from .geometry import Ball, Line, Scalar, to_fraction
+from .geometry import Line, Scalar, to_fraction
 from .measures import AnyMeasure, Window
+
+if TYPE_CHECKING:
+    from .cantor import CantorMeasure
 
 PHI_GRID = 180              # outer uniform grid over [0, pi)
 PHI_TOL = 1e-8              # golden-section stopping width on the angle
@@ -502,29 +504,6 @@ def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
     return t
 
 
-def best_line_p2(mu: AnyMeasure, ball: Ball) -> Line:
-    """Exact L^2 best line of the clipped measure (original coordinates)."""
-    win = build_window(mu, (ball.cx, ball.cy), ball.radius)
-    phi, c, _ = best_line_p2_window(win)
-    return _map_line_back(phi, c, (float(ball.cx), float(ball.cy)),
-                          float(ball.radius))
-
-
-def best_line_search(mu: AnyMeasure, ball: Ball, p: float) -> Line:
-    """General-``p`` best line of the clipped measure (original
-    coordinates)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    win = build_window(mu, (ball.cx, ball.cy), ball.radius)
-    line = _collinear_line(win)
-    if line is not None:
-        phi, c = line.phi, line.c
-    else:
-        phi, c, _, _ = best_line_search_window(win, p)
-    return _map_line_back(phi, c, (float(ball.cx), float(ball.cy)),
-                          float(ball.radius))
-
-
 # ---------------------------------------------------------------------------
 # multiscale aggregation
 # ---------------------------------------------------------------------------
@@ -603,7 +582,7 @@ def beta_lower_bound_probe(mu: CantorMeasure, x, k: int, p: float,
                            sched, n_radii: int = 7) -> float:
     """Smallest coefficient over a grid of radii in ``[2 h_k, 4 h_k]``,
     used to probe the divergence mechanism of slow-decay schedules."""
-    if isinstance(mu, CantorMeasure) and mu.gen < k:
+    if mu.gen < k:
         raise ValueError("measure generation must be at least k")
     h_k = float(sched.h_of(k))
     vals = []

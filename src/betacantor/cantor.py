@@ -11,10 +11,11 @@ right-aligned.  Total mass is conserved exactly at every step.
 Faithful schedules force the vertical steps to collapse extremely fast
 (``h_{k+1} <= 2^{-2k-5} min(h_k, shortest segment)``) and take
 ``n_k`` as the smallest integer above ``1/h_k^2``; generation 2 then already
-has ~2^45 segments, so everything here is built around *lazy, window
-restricted* generation with exact rational arithmetic, plus an aggregated
-evaluation view that collapses sub-resolution periodic runs of children
-into equivalent uniform segments (mass preserved exactly).
+has ~2^45 segments, so everything here is built around one *lazy, window
+restricted* descent in exact rational arithmetic (``CantorMeasure``).  By
+default it collapses sub-resolution periodic runs of children into
+equivalent uniform segments (mass preserved exactly); at resolution 0 it
+returns the exact restriction.
 """
 
 from __future__ import annotations
@@ -359,57 +360,6 @@ def _box_meets_ball(x_lo: Fraction, x_hi: Fraction, y_lo: Fraction,
     return dx * dx + dy * dy <= ball.radius * ball.radius
 
 
-SegmentAddress = Tuple[Tuple[int, str], ...]
-
-
-def window_refine(window: Ball, gen: int, sched: Schedule,
-                  max_segments: int = 500_000, with_addresses: bool = False):
-    """Exactly the generation-``gen`` segments meeting a closed window.
-
-    Equivalent to full refinement followed by intersection filtering, but
-    computed by descending only those ancestors whose reachable region (the
-    parent's x-range thickened by the remaining vertical steps) meets the
-    window.  Raises ``ResourceBudgetError`` if the window holds more than
-    ``max_segments`` segments.
-
-    With ``with_addresses=True`` returns ``[(address, segment)]`` pairs,
-    where an address is the path of ``(child_index, branch)`` choices.
-    """
-    sched.require_generation(gen)
-    too_many = (f"window holds more than {max_segments} segments; raise "
-                f"max_segments or shrink the window")
-    results = []
-    addr_root: SegmentAddress = ()
-    stack: List[Tuple[WeightedSegment, int, SegmentAddress]] = [
-        (ROOT, 0, addr_root)]
-    while stack:
-        seg, g, addr = stack.pop()
-        if g == gen:
-            if segment_ball_intersects(seg, window):
-                results.append((addr, seg))
-                if len(results) > max_segments:
-                    raise ResourceBudgetError(too_many)
-            continue
-        reach = sched.h_span(g, gen)
-        if not _box_meets_ball(seg.left.x, seg.right.x, seg.y,
-                               seg.y + reach, window):
-            continue
-        down, up = _families(seg, g + 1, sched)
-        for fam in (down, up):
-            rng = fam.index_range(window.cx - window.radius,
-                                  window.cx + window.radius)
-            if rng is None:
-                continue
-            if (rng[1] - rng[0] + 1) > max_segments:
-                raise ResourceBudgetError(too_many)
-            for i in range(rng[0], rng[1] + 1):
-                stack.append((fam.child(i), g + 1, addr + ((i, fam.branch),)))
-    results.sort(key=lambda t: t[0])
-    if with_addresses:
-        return results
-    return SegmentMeasure([seg for _, seg in results], generation=gen)
-
-
 class CantorMeasure:
     """Lazy evaluation view of the generation-``gen`` measure.
 
@@ -421,6 +371,12 @@ class CantorMeasure:
     represented by its root segment.  Masses are exact; only positions blur
     below the resolution.  This is what makes faithful generations >= 2
     (with ~2^45+ segments globally) evaluable at all scales.
+
+    ``rel_resolution=0`` is the exact mode: nothing is collapsed and the
+    ball is not enlarged, so ``window`` returns exactly the generation-
+    ``gen`` segments that meet the closed ball.  In either mode the descent
+    visits at most ``max_nodes`` tree nodes and raises
+    ``ResourceBudgetError`` before it would visit more.
     """
 
     #: default run-collapse threshold: pitches below radius/64 are smeared;
@@ -435,8 +391,8 @@ class CantorMeasure:
         if rel_resolution is None:
             rel_resolution = self.DEFAULT_RESOLUTION
         rel_resolution = Fraction(rel_resolution)
-        if not 0 < rel_resolution < 1:
-            raise ValueError("rel_resolution must lie in (0,1)")
+        if not 0 <= rel_resolution < 1:
+            raise ValueError("rel_resolution must lie in [0,1)")
         self.sched = sched
         self.gen = gen
         self.rel_resolution = rel_resolution
@@ -456,23 +412,17 @@ class CantorMeasure:
         hi_x = enlarged.cx + enlarged.radius
         out: List[WeightedSegment] = []
         stack: List[Tuple[WeightedSegment, int]] = [(ROOT, 0)]
-        nodes = 0
+        # every stacked node is visited, so the budget is checked on push
+        pushed = 1
         while stack:
             seg, g = stack.pop()
-            nodes += 1
-            if nodes > self.max_nodes:
-                raise ResourceBudgetError(
-                    f"window descent at center ({float(ball.cx):g}, "
-                    f"{float(ball.cy):g}), radius {float(ball.radius):g} "
-                    f"visits more than max_nodes={self.max_nodes} nodes; "
-                    f"raise max_nodes or coarsen rel_resolution (now "
-                    f"{self.rel_resolution})")
+            if g == self.gen:
+                if segment_ball_intersects(seg, enlarged):
+                    out.append(seg)
+                continue
             reach = self.sched.h_span(g, self.gen)
             if not _box_meets_ball(seg.left.x, seg.right.x, seg.y,
                                    seg.y + reach, enlarged):
-                continue
-            if g == self.gen:
-                out.append(seg)
                 continue
             if seg.length < res and reach <= res:
                 # whole remaining subtree is below resolution: its segments
@@ -480,27 +430,37 @@ class CantorMeasure:
                 # mass exactly seg.mass
                 out.append(seg)
                 continue
-            down, up = _families(seg, g + 1, self.sched)
-            for fam in (down, up):
+            subtree_reach = self.sched.h_span(g + 1, self.gen)
+            for fam in _families(seg, g + 1, self.sched):
                 rng = fam.index_range(lo_x, hi_x)
                 if rng is None:
                     continue
-                subtree_reach = self.sched.h_span(g + 1, self.gen)
                 if fam.pitch < res and subtree_reach <= res:
                     out.append(fam.run_segment(rng[0], rng[1]))
-                else:
-                    for i in range(rng[0], rng[1] + 1):
-                        stack.append((fam.child(i), g + 1))
+                    continue
+                pushed += rng[1] - rng[0] + 1
+                if pushed > self.max_nodes:
+                    raise ResourceBudgetError(
+                        f"window descent at center ({float(ball.cx):g}, "
+                        f"{float(ball.cy):g}), radius {float(ball.radius):g} "
+                        f"visits more than max_nodes={self.max_nodes} nodes; "
+                        f"raise max_nodes or coarsen rel_resolution (now "
+                        f"{self.rel_resolution}), or shrink the window")
+                stack.extend((fam.child(i), g + 1)
+                             for i in range(rng[0], rng[1] + 1))
         out.sort(key=lambda s: (s.y, s.left.x))
         return SegmentMeasure(out, generation=self.gen)
 
     def ball_mass(self, ball: Ball) -> Fraction:
-        """Exact mass of the closed ball, from the lazy window around it."""
+        """Mass of the closed ball under the window around it, in exact
+        rationals: the true mass at ``rel_resolution=0``, the mass of the
+        aggregated window otherwise."""
         return self.window((ball.cx, ball.cy), ball.radius).ball_mass(ball)
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
-        """The exact masses of ``B((cx, cy), r)``, rounded to floats."""
+        """The masses of ``B((cx, cy), r)`` as in :meth:`ball_mass`,
+        rounded to floats."""
         return np.array([float(self.ball_mass(Ball((cx, cy), r)))
                          for r in radii], dtype=float)
 
@@ -525,6 +485,9 @@ class CantorMeasure:
 # ---------------------------------------------------------------------------
 # addresses, point location and classification
 # ---------------------------------------------------------------------------
+
+SegmentAddress = Tuple[Tuple[int, str], ...]
+
 
 @dataclass(frozen=True)
 class PointAddress:

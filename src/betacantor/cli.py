@@ -33,7 +33,7 @@ from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
                    increment_pair, square_function)
 from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
-                     schedule_thm11, schedule_thm12, window_refine)
+                     schedule_thm11, schedule_thm12)
 from .corona import MIN_A0, build_lattice, corona_decompose, packing_report
 from .density import (build_mu_tilde, restricted_maximal_comparison,
                       unrectifiability_witness)
@@ -137,6 +137,17 @@ def _type_name(tp) -> str:
         "typing.", "")
 
 
+#: what ``Fraction`` and ``Schedule`` raise on a bad value
+_BAD_VALUE = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _rational(key: str, val: RationalText) -> Fraction:
+    try:
+        return Fraction(val)
+    except _BAD_VALUE:
+        raise ConfigError(f"{key} must be a rational, got {val!r}") from None
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -190,16 +201,20 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("c_thr must exceed 1")
     if cfg.vitali_lambda <= 2:
         raise ConfigError("vitali_lambda must exceed 2")
-    try:
-        rho = Fraction(cfg.rho)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"rho must be a rational, got {cfg.rho!r}") from None
-    if rho <= 0:
+    if _rational("rho", cfg.rho) <= 0:
         raise ConfigError("rho must be positive")
+    if cfg.window is not None:
+        window = [_rational("window", v) for v in cfg.window]
+        if window[2] <= 0:
+            raise ConfigError("the window radius must be positive")
     if not 0 < cfg.eps < 0.5:
         raise ConfigError("eps must lie in (0, 1/2)")
     if cfg.beta_sample is not None and cfg.beta_sample < 1:
         raise ConfigError("beta_sample must be positive")
+    try:
+        cfg.schedule()
+    except _BAD_VALUE as exc:
+        raise ConfigError(f"invalid schedule: {exc}") from None
     return cfg
 
 
@@ -311,7 +326,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
                 drawn.append(mu)
         elif cfg.window is not None:
             cx, cy, rad = (Fraction(v) for v in cfg.window)
-            mu = window_refine(Ball((cx, cy), rad), k, sched)
+            exact = CantorMeasure(sched, k, rel_resolution=0)
+            mu = exact.window((cx, cy), rad)
             write_measure(mu, out / f"ek_{k}.txt")
             entry["file"] = f"ek_{k}.txt"
             entry["mode"] = "windowed"

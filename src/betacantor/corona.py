@@ -61,10 +61,6 @@ class Lattice:
         self.cubes: List[LatticeCube] = [q for lvl in levels for q in lvl]
 
     @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
     def root(self) -> LatticeCube:
         return self.levels[0][0]
 

@@ -1,6 +1,6 @@
-"""Exact planar primitives: rational points, horizontal weighted segments,
-lines in normal form, closed balls, and the closed-form clipped L^p moments
-that everything else is built on.
+"""Exact planar primitives that everything else is built on: rational
+points, horizontal weighted segments, lines in normal form, closed balls,
+ball clipping and diameters.
 
 Construction geometry is kept in exact rational arithmetic
 (``fractions.Fraction``); evaluation switches to floats only after the
@@ -144,10 +144,6 @@ class Ball:
         object.__setattr__(self, "cy", cy)
         object.__setattr__(self, "radius", radius)
 
-    @property
-    def center(self) -> RationalPoint:
-        return RationalPoint(self.cx, self.cy)
-
 
 def _sqrt_fraction_exact(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational."""
@@ -199,48 +195,6 @@ def segment_ball_intersects(seg: WeightedSegment, ball: Ball) -> bool:
     dx = xn - ball.cx
     dy = seg.y - ball.cy
     return dx * dx + dy * dy <= ball.radius * ball.radius
-
-
-def _abs_power_antideriv(u: float, p: float) -> float:
-    """Antiderivative of ``|u|^p``: ``sign(u) |u|^{p+1} / (p+1)``."""
-    return math.copysign(abs(u) ** (p + 1.0), u) / (p + 1.0)
-
-
-def interval_abs_moment(a: float, b: float, p: float) -> float:
-    """Closed form of ``\\int_a^b |u|^p du`` for ``a <= b``, ``p >= 1``."""
-    return _abs_power_antideriv(b, p) - _abs_power_antideriv(a, p)
-
-
-def segment_line_p_moment(seg: WeightedSegment, clip: Ball, line: Line,
-                          p: float) -> float:
-    """``\\int_{seg ∩ clip} dist(y, line)^p dmu`` in closed form.
-
-    For a horizontal segment the distance to the line is ``|alpha t + beta|``
-    with ``alpha = cos phi`` and ``beta = y sin phi - c``, so the integral is
-    an antiderivative of ``|u|^p`` split at the sign change.  The density is
-    a multiplicative factor.  Agrees with adaptive quadrature to relative
-    1e-9 (see the test suite).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    bounds = clip_segment_to_ball(seg, clip)
-    if bounds is None:
-        return 0.0
-    t0, t1 = float(bounds[0]), float(bounds[1])
-    if t1 <= t0:
-        return 0.0
-    alpha = math.cos(line.phi)
-    beta = float(seg.y) * math.sin(line.phi) - line.c
-    dens = float(seg.density)
-    if abs(alpha) < 1e-15:
-        # line parallel to the segment: the distance is constant
-        return dens * abs(beta) ** p * (t1 - t0)
-    u0 = alpha * t0 + beta
-    u1 = alpha * t1 + beta
-    # the substitution u = alpha t + beta gives a 1/alpha factor; the signed
-    # antiderivative handles the split at u = 0 and a negative alpha alike
-    return dens * (interval_abs_moment(min(u0, u1), max(u0, u1), p)
-                   / abs(alpha))
 
 
 def _convex_hull(points: Sequence[Tuple[float, float]]):

@@ -303,20 +303,6 @@ def ball_mass(mu: AnyMeasure, ball: Ball) -> Fraction:
     return mu.ball_mass(ball)
 
 
-def clip_measure(mu: SegmentMeasure, ball: Ball) -> SegmentMeasure:
-    """Restrict a segment measure to a closed ball (dropping degenerate
-    zero-length pieces)."""
-    kept = []
-    for seg in mu.segments:
-        bounds = clip_segment_to_ball(seg, ball)
-        if bounds is None or bounds[0] >= bounds[1]:
-            continue
-        kept.append(WeightedSegment(RationalPoint(bounds[0], seg.y),
-                                    RationalPoint(bounds[1], seg.y),
-                                    seg.density))
-    return SegmentMeasure(kept, generation=None)
-
-
 def atomize(mu: SegmentMeasure, spacing: Scalar) -> AtomicMeasure:
     """Split each segment into equal-mass atoms at sub-interval midpoints.
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import betacantor as bc
-from betacantor import (AtomicMeasure, Ball, CantorMeasure, EmptyBallError,
+from betacantor import (AtomicMeasure, CantorMeasure, EmptyBallError,
                         RationalPoint, ScaleGrid, SegmentMeasure,
-                        WeightedSegment, beta, beta_both, best_line_p2,
-                        best_line_search, point_of, sample_address,
-                        schedule_tame, schedule_thm11, square_function)
+                        WeightedSegment, beta, beta_both, point_of,
+                        sample_address, schedule_tame, schedule_thm11,
+                        square_function)
 from betacantor.beta import (SquareFunctionDetails, best_line_p2_window,
                              best_line_search_window, build_window)
 
@@ -146,16 +146,22 @@ class TestBestLineP2:
             WeightedSegment(RationalPoint(-1, 0), RationalPoint(1, 0), 1),
             WeightedSegment(RationalPoint(-1, h), RationalPoint(1, h), 1),
         ])
-        line = best_line_p2(mu, Ball((0, h / 2), 3))
+        line = beta_both(mu, (0, h / 2), 3, 2.0)[0].line
         assert line.phi == pytest.approx(math.pi / 2, abs=1e-9)
         assert line.c == pytest.approx(float(h) / 2, abs=1e-12)
 
     def test_single_segment_returns_its_line(self):
         mu = SegmentMeasure([WeightedSegment(RationalPoint(0, F(2, 9)),
                                              RationalPoint(1, F(2, 9)), 1)])
-        line = best_line_p2(mu, Ball((F(1, 2), F(2, 9)), F(1, 4)))
+        x, r = (F(1, 2), F(2, 9)), F(1, 4)
+        line = beta_both(mu, x, r, 2.0)[0].line
         assert line.phi == pytest.approx(math.pi / 2, abs=1e-9)
         assert line.c == pytest.approx(2 / 9, abs=1e-12)
+        # the closed form alone, without the collinear shortcut
+        phi, c, obj = best_line_p2_window(build_window(mu, x, r))
+        assert phi == pytest.approx(math.pi / 2, abs=1e-9)
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert obj == pytest.approx(0.0, abs=1e-12)
 
     def test_dominates_random_lines(self):
         rng = random.Random(23)
@@ -192,7 +198,7 @@ class TestBestLineSearch:
         mu = SegmentMeasure([WeightedSegment(RationalPoint(0, F(1, 5)),
                                              RationalPoint(1, F(1, 5)), 1)])
         for p in (1.0, 1.5, 2.0, 3.0):
-            line = best_line_search(mu, Ball((F(1, 2), F(1, 5)), 1), p)
+            line = beta_both(mu, (F(1, 2), F(1, 5)), 1, p)[0].line
             assert line.distance(0.3, 0.2) <= 1e-12
 
     def test_heavy_light_two_lines_p3(self):

@@ -13,7 +13,7 @@ from betacantor import (Ball, CantorMeasure, RationalPoint, SegmentMeasure,
                         locate, point_of, refine, sample_address,
                         schedule_custom, schedule_tame, schedule_thm11,
                         schedule_thm12, segment_of, transport,
-                        transport_cells, window_refine)
+                        transport_cells)
 from betacantor.cantor import (DOWN, ROOT, UP, max_separation_squared,
                                separation_bound_holds, verify_conservation)
 from betacantor.errors import ResourceBudgetError, ScheduleExhaustedError
@@ -22,6 +22,13 @@ UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
 
 # small Figure-1 style schedule: 3 children at step 1, 4 at step 2
 FIG = schedule_custom([F(1, 2), F(1, 4)], [F(1, 4), F(1, 32)], [3, 4])
+
+
+def exact_window(sched, gen, ball, **kw):
+    """The generation-``gen`` segments meeting a closed ball, by the exact
+    (``rel_resolution=0``) descent."""
+    mu = CantorMeasure(sched, gen, rel_resolution=0, **kw)
+    return mu.window((ball.cx, ball.cy), ball.radius)
 
 
 class TestChildren:
@@ -179,13 +186,13 @@ class TestWindowedGeneration:
     def test_full_window_matches_refine(self):
         sched = schedule_tame(2)
         full = generate(sched, 2)
-        got = window_refine(Ball((F(1, 2), 0), 4), 2, sched)
+        got = exact_window(sched, 2, Ball((F(1, 2), 0), 4))
         assert sorted(got.segments, key=lambda s: (s.y, s.left.x)) == \
             sorted(full.segments, key=lambda s: (s.y, s.left.x))
 
     def test_disjoint_window_is_empty(self):
         sched = schedule_tame(2)
-        got = window_refine(Ball((F(1, 2), 10), F(1, 2)), 2, sched)
+        got = exact_window(sched, 2, Ball((F(1, 2), 10), F(1, 2)))
         assert len(got) == 0
 
     def test_random_windows_match_bruteforce_gen1(self):
@@ -207,7 +214,7 @@ class TestWindowedGeneration:
             brute = sum(
                 1 for i in maybe
                 if bc.geometry.segment_ball_intersects(full.segments[i], ball))
-            got = window_refine(ball, 1, sched)
+            got = exact_window(sched, 1, ball)
             assert len(got) == brute
 
     def test_lazy_window_mass_exact_on_cover(self):
@@ -238,9 +245,10 @@ class TestWindowedGeneration:
         assert "max_nodes=10" in msg
         assert "raise max_nodes or coarsen rel_resolution" in msg
         with pytest.raises(ResourceBudgetError,
-                           match="raise max_segments or shrink the window"):
-            window_refine(Ball((F(1, 2), 0), 4), 2, schedule_tame(2),
-                          max_segments=10)
+                           match=r"rel_resolution \(now 0\), or shrink the "
+                                 r"window$"):
+            exact_window(schedule_tame(2), 2, Ball((F(1, 2), 0), 4),
+                         max_nodes=10)
 
     def test_separation_bound(self):
         for sched, gen in ((schedule_tame(2), 1), (schedule_tame(2), 2),
@@ -257,6 +265,31 @@ class TestWindowedGeneration:
 
         brute = max(min(dist2(s, o) for o in segs if o != s) for s in segs)
         assert max_separation_squared(segs) == brute
+
+
+class TestExactWindow:
+    def test_ball_mass_matches_full_generation(self):
+        # rel_resolution=0 collapses nothing, so its masses are those of
+        # the enumerated generation (the default resolution blurs them)
+        sched = schedule_tame(2)
+        full = generate(sched, 2)
+        mu = CantorMeasure(sched, 2, rel_resolution=0)
+        rng = random.Random(17)
+        for _ in range(40):
+            pt = point_of(sample_address(sched, 2, rng), sched)
+            ball = Ball(pt, F(rng.randrange(1, 64), 256))
+            assert mu.ball_mass(ball) == full.ball_mass(ball)
+
+    def test_budget_raises_before_pushing_a_huge_run(self):
+        # one generation-1 parent alone has n_2 (about 2^44) children here
+        mu = CantorMeasure(schedule_thm11(2), 2, rel_resolution=0)
+        with pytest.raises(ResourceBudgetError):
+            mu.window((F(1, 2), 0), F(1, 64))
+
+    @pytest.mark.parametrize("res", [-1, 1])
+    def test_resolution_outside_unit_interval_rejected(self, res):
+        with pytest.raises(ValueError):
+            CantorMeasure(schedule_tame(2), 2, rel_resolution=res)
 
 
 class TestAddresses:
@@ -284,9 +317,9 @@ class TestAddresses:
     def test_up_mass_fraction_is_a_k(self):
         # mass carried by segments that branch up at the last level
         sched = schedule_tame(2)
-        pairs = window_refine(Ball((F(1, 2), F(1, 16)), 4), 2, sched,
-                              with_addresses=True)
-        up_mass = sum(seg.mass for addr, seg in pairs if addr[1][1] == UP)
+        segs = exact_window(sched, 2, Ball((F(1, 2), F(1, 16)), 4)).segments
+        up_mass = sum(seg.mass for seg in segs
+                      if locate(seg.left, 2, sched).path[1][1] == UP)
         assert up_mass == sched.a_of(2)
 
     def test_classify_matches_nearest_segment(self):
@@ -299,8 +332,8 @@ class TestAddresses:
             pt = point_of(pa, sched)
             ball = Ball((pt.x, pt.y), 2 * sched.h_of(1))
             best = None
-            for addr, seg in window_refine(ball, 1, sched,
-                                           with_addresses=True):
+            for seg in exact_window(sched, 1, ball).segments:
+                addr = locate(seg.left, 1, sched).path
                 xn = min(max(pt.x, seg.left.x), seg.right.x)
                 d2 = (xn - pt.x) ** 2 + (seg.y - pt.y) ** 2
                 if best is None or d2 < best[0]:

@@ -101,6 +101,24 @@ class TestExitCodes:
         path = write_config(tmp_path, **{key: value})
         assert run("--config", str(path), command) == 2
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("beta", {"flavor": "thm11", "h1": "abc"}),
+        ("beta", {"flavor": "thm11", "h1": float("inf")}),
+        ("generate", {"custom_a": ["1/2"]}),
+        ("generate", {"custom_h": ["2", "1/32"]}),
+        ("generate", {"custom_n": [2, 4]}),
+        ("generate", {"custom_h": ["1/0", "1/32"]}),
+        ("generate", {"flavor": "tame", "k_max": 3,
+                      "window": ["1/2", "0", "0"]}),
+        ("generate", {"flavor": "tame", "k_max": 3,
+                      "window": ["1/2", "abc", "1/8"]}),
+        ("beta", {"flavor": "tame", "k_max": 0}),
+    ])
+    def test_bad_schedule_and_window_values(self, tmp_path, command,
+                                            overrides):
+        path = write_config(tmp_path, **overrides)
+        assert run("--config", str(path), command) == 2
+
     def test_numeric_rho_and_null_beta_sample_accepted(self, tmp_path):
         path = write_config(tmp_path, rho=0.0625, beta_sample=None,
                             p=[1.5, 2], window=["0", 0, "1/8"])

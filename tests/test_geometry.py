@@ -1,16 +1,18 @@
-"""Geometry primitives: clipping, closed-form moments vs quadrature,
-diameters."""
+"""Geometry primitives: clipping, closed-form projected moments vs
+quadrature, diameters."""
 
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from betacantor import (Ball, Line, RationalPoint, WeightedSegment,
-                        clip_segment_to_ball, diameter,
-                        segment_line_p_moment)
+from betacantor import (Ball, RationalPoint, WeightedSegment,
+                        clip_segment_to_ball, diameter)
+from betacantor.beta import _Projection
+from betacantor.measures import Window
 
 UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
 
@@ -56,71 +58,92 @@ class TestClip:
                 assert d <= float(ball.radius) + pad
 
 
+def projection(segments, phi, atoms=()):
+    """``_Projection`` of a window holding float segments
+    ``(x0, x1, y, density)`` and atoms ``(x, y, mass)``, onto one normal
+    direction."""
+    s, e, y, rho = zip(*segments) if segments else ((), (), (), ())
+    ax, ay, am = zip(*atoms) if atoms else ((), (), ())
+    return _Projection(Window(s, e, y, rho, ax, ay, am), np.array([phi]))
+
+
+def quad_moment(segments, atoms, phi, c, p):
+    """Quadrature oracle for ``(int |u - c|^p, d/dc int |u - c|^p)`` with
+    ``u = <y, (cos phi, sin phi)>``, split at the zero of ``u - c``."""
+    nx, ny = math.cos(phi), math.sin(phi)
+    moment = deriv = 0.0
+    for x0, x1, y, dens in segments:
+        def u(t):
+            return t * nx + y * ny - c
+        kinks = []
+        if abs(nx) > 1e-15 and x0 < (c - y * ny) / nx < x1:
+            kinks.append((c - y * ny) / nx)
+        opts = dict(epsabs=1e-14, epsrel=1e-12, limit=200,
+                    points=kinks or None)
+        moment += quad(lambda t: dens * abs(u(t)) ** p, x0, x1, **opts)[0]
+        deriv += quad(lambda t: -p * dens * math.copysign(
+            abs(u(t)) ** (p - 1), u(t)), x0, x1, **opts)[0]
+    for x, y, m in atoms:
+        v = x * nx + y * ny - c
+        moment += m * abs(v) ** p
+        deriv += -p * m * math.copysign(abs(v) ** (p - 1), v)
+    return moment, deriv
+
+
 class TestMoment:
     def test_support_on_line_gives_zero(self):
-        assert segment_line_p_moment(UNIT, Ball((F(1, 2), 0), 10),
-                                     Line.horizontal(0.0), 2) == 0.0
+        prj = projection([(0.0, 1.0, 0.0, 1.0)], math.pi / 2)
+        assert prj.moment(np.array([0.0]), 2)[0] <= 1e-30
+        assert abs(prj.dmoment(np.array([0.0]), 2)[0]) <= 1e-15
 
     def test_diagonal_line_p2(self):
         # dist((t,0), {y=x}) = t/sqrt(2); integral of t^2/2 over [0,1] = 1/6
-        line = Line(3 * math.pi / 4, 0.0)
-        got = segment_line_p_moment(UNIT, Ball((F(1, 2), 0), 10), line, 2)
-        oracle = quad(lambda t: (t / math.sqrt(2)) ** 2, 0, 1,
-                      epsabs=1e-14, epsrel=1e-14)[0]
+        segs = [(0.0, 1.0, 0.0, 1.0)]
+        prj = projection(segs, 3 * math.pi / 4)
+        got = prj.moment(np.array([0.0]), 2)[0]
+        oracle, doracle = quad_moment(segs, (), 3 * math.pi / 4, 0.0, 2)
         assert got == pytest.approx(1 / 6, rel=1e-12)
         assert got == pytest.approx(oracle, rel=1e-12)
+        # d/dc int (u - c)^2 = -2 int u = 1/sqrt(2) at c = 0
+        dgot = prj.dmoment(np.array([0.0]), 2)[0]
+        assert dgot == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert dgot == pytest.approx(doracle, rel=1e-12)
 
     def test_diagonal_line_p1(self):
-        line = Line(3 * math.pi / 4, 0.0)
-        got = segment_line_p_moment(UNIT, Ball((F(1, 2), 0), 10), line, 1)
+        prj = projection([(0.0, 1.0, 0.0, 1.0)], 3 * math.pi / 4)
+        got = prj.moment(np.array([0.0]), 1)[0]
         assert got == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-12)
 
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            segment_line_p_moment(UNIT, Ball((0, 0), 1), Line(0.3, 0.0), 0.5)
-
     def test_against_quadrature(self):
-        # closed form vs adaptive quadrature on random clipped instances
+        # closed forms vs adaptive quadrature on random windows, for the
+        # moment and its derivative in the offset
         rng = random.Random(7)
-        checked = 0
-        for _ in range(1000):
-            x0 = rng.uniform(-2, 1)
-            s = seg(F(x0), F(rng.uniform(-1, 1)), F(x0 + rng.uniform(0.1, 3)),
-                    F(rng.uniform(0.1, 4)))
-            ball = Ball((F(rng.uniform(-1, 1)), F(rng.uniform(-1, 1))),
-                        F(rng.uniform(0.3, 2)))
-            line = Line(rng.uniform(0, math.pi), rng.uniform(-1, 1))
-            p = rng.choice([1, 1.5, 2, 3])
-            got = segment_line_p_moment(s, ball, line, p)
-            bounds = clip_segment_to_ball(s, ball)
-            if bounds is None or bounds[0] >= bounds[1]:
-                assert got == 0.0
-                continue
-            nx, ny = line.normal
-            y = float(s.y)
-            dens = float(s.density)
-            lo, hi = float(bounds[0]), float(bounds[1])
-            kinks = []
-            if abs(nx) > 1e-15:
-                t_star = (line.c - y * ny) / nx  # where the distance vanishes
-                if lo < t_star < hi:
-                    kinks.append(t_star)
-            oracle = quad(lambda t: dens * abs(t * nx + y * ny - line.c) ** p,
-                          lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200,
-                          points=kinks or None)[0]
+        for _ in range(300):
+            segs = []
+            for _ in range(rng.randrange(1, 4)):
+                x0 = rng.uniform(-1, 0.5)
+                segs.append((x0, x0 + rng.uniform(0.05, 1.5),
+                             rng.uniform(-1, 1), rng.uniform(0.1, 4)))
+            atoms = [(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(0.1, 2)) for _ in range(rng.randrange(3))]
+            # the normal orthogonal to the segments takes the point branch
+            phi = rng.choice([rng.uniform(0, math.pi), math.pi / 2])
+            c = rng.uniform(-1, 1)
+            p = rng.choice([1, 1.25, 1.5, 2, 2.5, 3])
+            prj = projection(segs, phi, atoms)
+            got = prj.moment(np.array([c]), p)[0]
+            dgot = prj.dmoment(np.array([c]), p)[0]
+            oracle, doracle = quad_moment(segs, atoms, phi, c, p)
             assert got == pytest.approx(oracle, rel=1e-9, abs=1e-13)
-            checked += 1
-        assert checked > 500
+            assert dgot == pytest.approx(doracle, rel=1e-9, abs=1e-13)
 
     def test_zero_iff_on_line(self):
         rng = random.Random(3)
         for _ in range(50):
-            y = F(rng.randrange(-4, 5), 4)
-            s = seg(F(-1), y, F(1))
-            ball = Ball((0, y), 2)
-            on = segment_line_p_moment(s, ball, Line.horizontal(float(y)), 1.5)
-            off = segment_line_p_moment(s, ball,
-                                        Line.horizontal(float(y) + 0.25), 1.5)
+            y = rng.randrange(-4, 5) / 4
+            prj = projection([(-1.0, 1.0, y, 1.0)], math.pi / 2)
+            on = prj.moment(np.array([y]), 1.5)[0]
+            off = prj.moment(np.array([y + 0.25]), 1.5)[0]
             assert on <= 1e-15
             assert off > 1e-6
 

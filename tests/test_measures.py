@@ -7,8 +7,7 @@ import pytest
 
 from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         SegmentMeasure, WeightedSegment, atomize, ball_mass,
-                        clip_measure, dumps_measure, loads_measure, locate,
-                        schedule_tame)
+                        dumps_measure, loads_measure, locate, schedule_tame)
 from betacantor.beta import build_window
 from betacantor.geometry import CLIP_REL_TOL
 
@@ -207,10 +206,6 @@ class TestStructure:
             WeightedSegment(RationalPoint(1, 0), RationalPoint(2, 0), 1),
         ])
         ok.check_disjoint()
-
-    def test_clip_measure_total(self):
-        clipped = clip_measure(LINE, Ball((F(1, 2), 0), F(1, 4)))
-        assert clipped.total_mass == F(1, 2)
 
     def test_atomize_spacing_and_mass(self):
         mu = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
