@@ -12,7 +12,7 @@ from .cantor import (DOWN, UP, CantorMeasure, PointAddress, Schedule,
                      schedule_thm11, schedule_thm12, segment_of, transport,
                      transport_cells)
 from .corona import (CoronaTree, Lattice, LatticeCube, build_lattice,
-                     corona_decompose, maximal_via_corona, packing_report)
+                     corona_decompose, packing_report)
 from .density import (DensityProfile, DoublingBallFamily, build_mu_tilde,
                       density_profile, doubling_descent, doubling_scales,
                       maximal_function, restricted_maximal_comparison,

@@ -38,6 +38,8 @@ PHI_GRID = 180              # outer uniform grid over [0, pi)
 PHI_TOL = 1e-8              # golden-section stopping width on the angle
 C_BISECT_ITERS = 46         # offset bisection steps (range <= 2.2)
 C_BISECT_COARSE = 22        # cheap pass used only to rank directions
+COLLINEAR_TOL = 1e-12       # collinear-support test, in rescaled units
+DENSE_OCTAVES = 16.0        # increment_pair: dense grid octaves above r_lo
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -127,85 +129,56 @@ def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
 class _Projection:
     """Support of a window projected onto a family of normal directions.
 
-    For each direction the segments become weighted intervals on the line
-    (or point masses when the direction is orthogonal to them), for which
-    the ``|u - c|^p`` moments have closed forms.
+    For each direction the pieces become weighted intervals on the line,
+    or point masses where the projected width vanishes (atoms, and
+    segments orthogonal to the direction), for which the ``|u - c|^p``
+    moments have closed forms.
     """
 
     __slots__ = ("ulo", "uhi", "lam", "umid", "pmass", "is_pt", "any_pt",
-                 "au", "am", "lo", "hi")
+                 "lo", "hi")
 
     def __init__(self, win: Window, phis: np.ndarray):
         cos = np.cos(phis)[:, None]
         sin = np.sin(phis)[:, None]
-        parts_lo, parts_hi = [], []
-        if win.n_segments:
-            u1 = win.seg_s[None, :] * cos + win.seg_y[None, :] * sin
-            u2 = win.seg_e[None, :] * cos + win.seg_y[None, :] * sin
-            self.ulo = np.minimum(u1, u2)
-            self.uhi = np.maximum(u1, u2)
-            self.pmass = np.broadcast_to(
-                win.seg_rho * (win.seg_e - win.seg_s), self.ulo.shape)
-            du = self.uhi - self.ulo
-            self.is_pt = du <= 1e-14
-            self.any_pt = bool(self.is_pt.any())
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self.lam = np.where(self.is_pt, 0.0,
-                                    self.pmass / np.where(self.is_pt, 1.0, du))
-            self.umid = 0.5 * (self.ulo + self.uhi)
-            parts_lo.append(self.ulo.min(axis=1))
-            parts_hi.append(self.uhi.max(axis=1))
-        else:
-            self.ulo = self.uhi = self.lam = self.umid = None
-            self.pmass = self.is_pt = None
-            self.any_pt = False
-        if win.n_atoms:
-            self.au = (win.atom_x[None, :] * np.cos(phis)[:, None]
-                       + win.atom_y[None, :] * np.sin(phis)[:, None])
-            self.am = win.atom_m
-            parts_lo.append(self.au.min(axis=1))
-            parts_hi.append(self.au.max(axis=1))
-        else:
-            self.au = self.am = None
-        self.lo = np.min(parts_lo, axis=0)
-        self.hi = np.max(parts_hi, axis=0)
+        u1 = win.s[None, :] * cos + win.y[None, :] * sin
+        u2 = win.e[None, :] * cos + win.y[None, :] * sin
+        self.ulo = np.minimum(u1, u2)
+        self.uhi = np.maximum(u1, u2)
+        self.pmass = np.broadcast_to(win.m, self.ulo.shape)
+        du = self.uhi - self.ulo
+        self.is_pt = du <= 1e-14
+        self.any_pt = bool(self.is_pt.any())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.lam = np.where(self.is_pt, 0.0,
+                                self.pmass / np.where(self.is_pt, 1.0, du))
+        self.umid = 0.5 * (self.ulo + self.uhi)
+        self.lo = self.ulo.min(axis=1)
+        self.hi = self.uhi.max(axis=1)
 
     def moment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Closed-form ``int |u - c|^p`` against the projected measure
         (the antiderivative of ``|u|^p`` is ``sign(u)|u|^{p+1}/(p+1)``)."""
         q = p + 1.0
-        total = 0.0
-        if self.ulo is not None:
-            vlo = self.ulo - c[:, None]
-            vhi = self.uhi - c[:, None]
-            cont = (np.sign(vhi) * _abs_pow(vhi, q)
-                    - np.sign(vlo) * _abs_pow(vlo, q)) * (self.lam / q)
-            if self.any_pt:
-                pts = self.pmass * _abs_pow(self.umid - c[:, None], p)
-                cont = np.where(self.is_pt, pts, cont)
-            total = total + cont.sum(axis=1)
-        if self.au is not None:
-            total = total + (self.am * _abs_pow(self.au - c[:, None], p)
-                             ).sum(axis=1)
-        return total
+        vlo = self.ulo - c[:, None]
+        vhi = self.uhi - c[:, None]
+        cont = (np.sign(vhi) * _abs_pow(vhi, q)
+                - np.sign(vlo) * _abs_pow(vlo, q)) * (self.lam / q)
+        if self.any_pt:
+            pts = self.pmass * _abs_pow(self.umid - c[:, None], p)
+            cont = np.where(self.is_pt, pts, cont)
+        return cont.sum(axis=1)
 
     def dmoment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Derivative of :meth:`moment` in ``c`` (nondecreasing in ``c``)."""
-        total = 0.0
-        if self.ulo is not None:
-            vlo = self.ulo - c[:, None]
-            vhi = self.uhi - c[:, None]
-            cont = (_abs_pow(vlo, p) - _abs_pow(vhi, p)) * self.lam
-            if self.any_pt:
-                w = self.umid - c[:, None]
-                pts = (-p) * self.pmass * np.sign(w) * _abs_pow(w, p - 1.0)
-                cont = np.where(self.is_pt, pts, cont)
-            total = total + cont.sum(axis=1)
-        if self.au is not None:
-            v = self.au - c[:, None]
-            total = total + ((-p) * self.am * np.sign(v)
-                             * _abs_pow(v, p - 1.0)).sum(axis=1)
-        return total
+        vlo = self.ulo - c[:, None]
+        vhi = self.uhi - c[:, None]
+        cont = (_abs_pow(vlo, p) - _abs_pow(vhi, p)) * self.lam
+        if self.any_pt:
+            w = self.umid - c[:, None]
+            pts = (-p) * self.pmass * np.sign(w) * _abs_pow(w, p - 1.0)
+            cont = np.where(self.is_pt, pts, cont)
+        return cont.sum(axis=1)
 
     def minimize_offset(self, p: float, iters: int = C_BISECT_ITERS,
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -222,58 +195,18 @@ class _Projection:
         return c, self.moment(c, p)
 
 
-def _weighted_median_smallest(u: np.ndarray, m: np.ndarray) -> float:
-    """Smallest weighted median (ties resolved downward)."""
-    order = np.argsort(u, kind="stable")
-    u = u[order]
-    m = m[order]
-    csum = np.cumsum(m)
-    half = 0.5 * csum[-1]
-    idx = int(np.searchsorted(csum, half))
-    return float(u[min(idx, len(u) - 1)])
-
-
-def _solve_batch(win: Window, phis: np.ndarray, p: float,
-                 iters: int = C_BISECT_ITERS,
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Inner minimization for a batch of directions: ``(offsets,
-    objectives)``.  Pure atom measures at p = 1 use the exact smallest
-    weighted median instead of bisection."""
-    proj = _Projection(win, phis)
-    if p == 1.0 and win.n_segments == 0 and win.n_atoms:
-        cs = np.array([_weighted_median_smallest(proj.au[i], proj.am)
-                       for i in range(len(phis))])
-        return cs, proj.moment(cs, p)
-    return proj.minimize_offset(p, iters)
-
-
 # ---------------------------------------------------------------------------
 # closed-form p = 2 minimizer
 # ---------------------------------------------------------------------------
 
 def _window_moments(win: Window):
     """Mass, raw first and second moments of a window (exact closed forms
-    per segment)."""
-    m = 0.0
-    sx = sy = sxx = syy = sxy = 0.0
-    if win.n_segments:
-        w = win.seg_rho * (win.seg_e - win.seg_s)
-        mx = 0.5 * (win.seg_s + win.seg_e)
-        mxx = (win.seg_s ** 2 + win.seg_s * win.seg_e + win.seg_e ** 2) / 3.0
-        m += w.sum()
-        sx += (w * mx).sum()
-        sy += (w * win.seg_y).sum()
-        sxx += (w * mxx).sum()
-        syy += (w * win.seg_y ** 2).sum()
-        sxy += (w * mx * win.seg_y).sum()
-    if win.n_atoms:
-        m += win.atom_m.sum()
-        sx += (win.atom_m * win.atom_x).sum()
-        sy += (win.atom_m * win.atom_y).sum()
-        sxx += (win.atom_m * win.atom_x ** 2).sum()
-        syy += (win.atom_m * win.atom_y ** 2).sum()
-        sxy += (win.atom_m * win.atom_x * win.atom_y).sum()
-    return m, sx, sy, sxx, syy, sxy
+    per piece)."""
+    w = win.m
+    mx = 0.5 * (win.s + win.e)
+    mxx = (win.s ** 2 + win.s * win.e + win.e ** 2) / 3.0
+    return (win.mass, (w * mx).sum(), (w * win.y).sum(), (w * mxx).sum(),
+            (w * win.y ** 2).sum(), (w * mx * win.y).sum())
 
 
 def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
@@ -309,9 +242,9 @@ def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
 # collinearity fast path
 # ---------------------------------------------------------------------------
 
-def _collinear_line(win: Window, tol: float = 1e-12) -> Optional[Line]:
-    """Return a line carrying the whole window support (within ``tol`` of
-    the rescaled radius), or None."""
+def _collinear_line(win: Window) -> Optional[Line]:
+    """Return a line carrying the whole window support (within
+    ``COLLINEAR_TOL`` of the rescaled radius), or None."""
     pts = win.support_points()
     if len(pts) == 0:
         return Line.horizontal(0.0)
@@ -323,14 +256,14 @@ def _collinear_line(win: Window, tol: float = 1e-12) -> Optional[Line]:
     p0, p1 = pts[order[0]], pts[order[-1]]
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     norm = math.hypot(dx, dy)
-    if norm < tol:  # all support at one point
+    if norm < COLLINEAR_TOL:  # all support at one point
         return Line.horizontal(p0[1])
     nx, ny = -dy / norm, dx / norm
     phi = math.atan2(ny, nx) % math.pi
     line = Line(phi, p0[0] * math.cos(phi) + p0[1] * math.sin(phi))
     resid = np.abs(pts[:, 0] * math.cos(line.phi)
                    + pts[:, 1] * math.sin(line.phi) - line.c)
-    if resid.max() <= tol:
+    if resid.max() <= COLLINEAR_TOL:
         return line
     return None
 
@@ -349,8 +282,8 @@ def _golden_batch(win: Window, p: float, centers: np.ndarray, step: float,
     hi = centers + step
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
-    c1, f1 = _solve_batch(win, x1, p)
-    c2, f2 = _solve_batch(win, x2, p)
+    c1, f1 = _Projection(win, x1).minimize_offset(p)
+    c2, f2 = _Projection(win, x2).minimize_offset(p)
     iters = 0
     width = float(hi[0] - lo[0])
     while width > PHI_TOL:
@@ -360,7 +293,7 @@ def _golden_batch(win: Window, p: float, centers: np.ndarray, step: float,
         lo = np.where(take1, lo, x1)
         probes = np.where(take1, hi - _INV_GOLDEN * (hi - lo),
                           lo + _INV_GOLDEN * (hi - lo))
-        cp, fp = _solve_batch(win, probes, p)
+        cp, fp = _Projection(win, probes).minimize_offset(p)
         # shift the surviving interior point, insert the probe
         x2n = np.where(take1, x1, probes)
         f2n = np.where(take1, f1, fp)
@@ -388,7 +321,7 @@ def best_line_search_window(win: Window, p: float,
     if win.mass <= 0.0:
         raise EmptyBallError("zero clipped mass")
     phis = np.arange(PHI_GRID) * (math.pi / PHI_GRID)
-    _, objs = _solve_batch(win, phis, p, iters=C_BISECT_COARSE)
+    _, objs = _Projection(win, phis).minimize_offset(p, C_BISECT_COARSE)
     iterations = PHI_GRID * C_BISECT_COARSE
 
     step = math.pi / PHI_GRID
@@ -409,7 +342,7 @@ def best_line_search_window(win: Window, p: float,
     bphi, bc, bobj, giters = _golden_batch(win, p, np.array(dedup), step)
     iterations += giters * len(dedup) * C_BISECT_ITERS
     # fully converged solves at the bracket centers guard the coarse pass
-    ccs, cobjs = _solve_batch(win, np.array(dedup), p)
+    ccs, cobjs = _Projection(win, np.array(dedup)).minimize_offset(p)
     iterations += len(dedup) * C_BISECT_ITERS
     best_i = int(np.argmin(bobj))
     phi, c, obj = float(bphi[best_i]), float(bc[best_i]), float(bobj[best_i])
@@ -551,13 +484,12 @@ def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
 
 
 def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
-                   lam: float = 2.0 ** -0.25,
-                   dense_octaves: float = 16.0) -> Tuple[float, float]:
+                   lam: float = 2.0 ** -0.25) -> Tuple[float, float]:
     """Square-function sub-sums over ``(r_lo, r_hi]``, anchored at
     ``r_hi``, for both variants from one line search per scale:
     ``(beta_sum, betaTilde_sum)``.
 
-    The grid is dense (ratio ``lam``) over the ``dense_octaves`` octaves
+    The grid is dense (ratio ``lam``) over the ``DENSE_OCTAVES`` octaves
     above ``r_lo``, where the integrand concentrates, and one sample per
     octave further up; each sample is weighted by its own log step, so the
     whole window is still covered.
@@ -569,7 +501,7 @@ def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
 
     def scales():
         r = r_hi
-        switch = r_lo * 2.0 ** dense_octaves
+        switch = r_lo * 2.0 ** DENSE_OCTAVES
         while r > r_lo * (1.0 + 1e-12):
             ratio = lam if r <= switch else 0.5
             yield r, math.log(1.0 / ratio)

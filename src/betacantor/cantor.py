@@ -20,6 +20,7 @@ returns the exact restriction.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ResourceBudgetError, ScheduleExhaustedError)
+from .errors import (InvariantViolationError, ResourceBudgetError,
+                     ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        segment_ball_intersects, to_fraction)
 from .measures import SegmentMeasure, Window
@@ -38,6 +40,9 @@ UP = "u"
 
 #: root segment of every construction: [0,1] x {0} with unit density
 ROOT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
+
+#: largest ``k_max`` the built-in schedules accept
+K_MAX_BUDGET = 8
 
 
 # ---------------------------------------------------------------------------
@@ -171,32 +176,32 @@ def _equality_case_h(a: Sequence[Fraction], k_max: int,
     return hs, ns
 
 
-def schedule_thm11(k_max: int, h1: Scalar = Fraction(1, 128),
-                   budget: int = 8) -> Schedule:
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if k_max > K_MAX_BUDGET:
+        raise ResourceBudgetError(
+            f"k_max={k_max} beyond budget {K_MAX_BUDGET}")
+
+
+def schedule_thm11(k_max: int, h1: Scalar = Fraction(1, 128)) -> Schedule:
     """Harmonic-type schedule ``a_k = 1/(2k)`` with fastest admissible
     vertical collapse.  ``sum a_k^{2/p}`` converges for ``p < 2`` while
     ``sum a_k`` diverges."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if k_max > budget:
-        raise ResourceBudgetError(f"k_max={k_max} beyond budget {budget}")
+    _check_k_max(k_max)
     a = [Fraction(1, 2 * k) for k in range(1, k_max + 1)]
     hs, ns = _equality_case_h(a, k_max, to_fraction(h1))
     return Schedule(tuple(a), tuple(hs), tuple(ns), flavor="thm11")
 
 
-def schedule_thm12(k_max: int, h1: Scalar = Fraction(1, 128),
-                   budget: int = 8) -> Schedule:
+def schedule_thm12(k_max: int, h1: Scalar = Fraction(1, 128)) -> Schedule:
     """Slow-decay schedule ``a_k ~ 1/(k log^2(e+k))``: ``sum a_k`` converges
     but ``sum a_k^{2/p}`` diverges for every ``p > 2``.
 
     The targets are irrational; a rational approximation with error below
     1e-12 is stored and the schedule is flagged ``approx_a``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if k_max > budget:
-        raise ResourceBudgetError(f"k_max={k_max} beyond budget {budget}")
+    _check_k_max(k_max)
     scale = 10 ** 14
     a = []
     for k in range(1, k_max + 1):
@@ -207,14 +212,11 @@ def schedule_thm12(k_max: int, h1: Scalar = Fraction(1, 128),
                     approx_a=True)
 
 
-def schedule_tame(k_max: int, budget: int = 8) -> Schedule:
+def schedule_tame(k_max: int) -> Schedule:
     """Small smoke-test schedule: ``h_k = 8^-k``, ``n_k = 8^k``,
     ``a_k = 1/(2k)``.  Violates both the gap condition and the ``n_k`` rule,
     so it is never faithful, but generations up to ~6 stay tractable."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if k_max > budget:
-        raise ResourceBudgetError(f"k_max={k_max} beyond budget {budget}")
+    _check_k_max(k_max)
     a = tuple(Fraction(1, 2 * k) for k in range(1, k_max + 1))
     h = tuple(Fraction(1, 8 ** k) for k in range(1, k_max + 1))
     n = tuple(8 ** k for k in range(1, k_max + 1))
@@ -316,12 +318,12 @@ def _families(parent: WeightedSegment, gen_child: int,
             _Family.of(parent, a, n, sched.h_of(gen_child), UP))
 
 
-def refine(parents: Sequence[WeightedSegment], k: int, sched: Schedule,
-           check_overlap: bool = True) -> List[WeightedSegment]:
+def refine(parents: Sequence[WeightedSegment], k: int,
+           sched: Schedule) -> List[WeightedSegment]:
     """Full refinement of a generation-``k`` family into generation
     ``k+1``: per parent, the down family on its own line and the up family
     ``h_{k+1}`` above.  Mass is conserved exactly; segment count multiplies
-    by ``2 n_{k+1}``.
+    by ``2 n_{k+1}``; interior overlaps raise ``ValueError``.
     """
     sched.require_generation(k + 1)
     out: List[WeightedSegment] = []
@@ -329,13 +331,12 @@ def refine(parents: Sequence[WeightedSegment], k: int, sched: Schedule,
         down, up = _families(parent, k + 1, sched)
         out.extend(down.child(i) for i in range(down.count))
         out.extend(up.child(i) for i in range(up.count))
-    if check_overlap:
-        SegmentMeasure(out).check_disjoint()
+    SegmentMeasure(out).check_disjoint()
     return out
 
 
-def generate(sched: Schedule, gen: int, max_segments: int = 3_000_000,
-             check_overlap: bool = True) -> SegmentMeasure:
+def generate(sched: Schedule, gen: int,
+             max_segments: int = 3_000_000) -> SegmentMeasure:
     """Materialize a full generation (only viable for small schedules)."""
     sched.require_generation(gen)
     if sched.segment_count(gen) > max_segments:
@@ -344,7 +345,7 @@ def generate(sched: Schedule, gen: int, max_segments: int = 3_000_000,
             f"beyond the budget of {max_segments}")
     segs: List[WeightedSegment] = [ROOT]
     for k in range(gen):
-        segs = refine(segs, k, sched, check_overlap=check_overlap)
+        segs = refine(segs, k, sched)
     return SegmentMeasure(segs, generation=gen)
 
 
@@ -672,7 +673,6 @@ def verify_conservation(sched: Schedule, gen: int, rng: random.Random,
     This exercises the layout arithmetic at generations far beyond
     enumerability.
     """
-    from .errors import InvariantViolationError
     sched.require_generation(gen)
     for _ in range(samples_per_level):
         seg = ROOT
@@ -691,7 +691,6 @@ def verify_conservation(sched: Schedule, gen: int, rng: random.Random,
 def max_separation_squared(segs: Sequence[WeightedSegment]) -> Fraction:
     """Exact ``max_i dist(J_i, rest)^2`` over an enumerated family: the
     worst-case distance from a segment to the remainder of the set."""
-    import bisect
     by_line: Dict[Fraction, List[WeightedSegment]] = {}
     for s in segs:
         by_line.setdefault(s.y, []).append(s)

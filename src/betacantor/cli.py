@@ -28,6 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import svgfig
 from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
                    increment_pair, square_function)
@@ -35,8 +37,8 @@ from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12)
 from .corona import MIN_A0, build_lattice, corona_decompose, packing_report
-from .density import (build_mu_tilde, restricted_maximal_comparison,
-                      unrectifiability_witness)
+from .density import (build_mu_tilde, density_profile,
+                      restricted_maximal_comparison, unrectifiability_witness)
 from .errors import (ConfigError, InvariantViolationError,
                      ResourceBudgetError, ScheduleExhaustedError)
 from .geometry import Ball
@@ -78,18 +80,9 @@ class ExperimentConfig:
     eps: float = 0.1
     beta_sample: Optional[int] = 200
 
-    def resolved_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["p"] = list(self.p)
-        d["custom_a"] = list(self.custom_a)
-        d["custom_h"] = list(self.custom_h)
-        d["custom_n"] = list(self.custom_n)
-        d["window"] = list(self.window) if self.window else None
-        return d
-
     @property
     def config_hash(self) -> str:
-        d = self.resolved_dict()
+        d = dataclasses.asdict(self)
         # execution details that do not affect the numbers
         for key in ("out_dir", "timestamp"):
             d.pop(key, None)
@@ -155,7 +148,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file {path} not found")
         if path.suffix == ".toml":
-            import tomllib
+            import tomllib  # lazy: new in Python 3.11, requires-python is 3.10
             data = tomllib.loads(path.read_text())
         else:
             data = json.loads(path.read_text())
@@ -224,8 +217,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: Sequence[str],
                rows: Sequence[Sequence]) -> None:
-    import numpy as np
-
     def fmt(v):
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
@@ -450,7 +441,6 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
                rows)
 
     # density ratio profiles at the sampled points, unconditioned
-    from .density import density_profile
     mu = CantorMeasure(sched, cfg.k_max)
     grid = cfg.scale_grid()
     prof_rows = []

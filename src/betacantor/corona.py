@@ -371,19 +371,3 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
             acc += square_function(mu, (xs[i], ys[i]), 2.0, grid)[0]
         rhs_beta = total * acc / beta_sample
     return PackingReport(lhs, rhs_mass, rhs_beta, c_star, len(tree.roots))
-
-
-def maximal_via_corona(tree: CoronaTree) -> Dict[int, float]:
-    """Per-atom upper-bound scaffolding for the maximal function: the
-    largest 2B-density among the roots of all trees met by the atom's cube
-    chain.  The direct grid maximal function is bounded by a geometric
-    constant times this value (checked empirically in the tests)."""
-    lattice = tree.lattice
-    bounds: Dict[int, float] = {}
-    for lvl in lattice.levels:
-        for q in lvl:
-            rid = tree.tree_of[q.cube_id]
-            theta_r = tree.theta2b[rid]
-            for i in q.members:
-                bounds[i] = max(bounds.get(i, 0.0), theta_r)
-    return bounds

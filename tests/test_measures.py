@@ -139,6 +139,14 @@ class TestUnitWindow:
             # the window lives in the unit ball
             pts = win.support_points()
             assert ((pts ** 2).sum(axis=1) <= 1.0 + 1e-9).all()
+            # an atom is a piece of zero length, a clipped segment is not
+            n = len(win.s)
+            if name == "atoms":
+                assert (win.s == win.e).all()
+                assert (win.n_atoms, win.n_segments) == (n, 0)
+            else:
+                assert (win.e > win.s).all()
+                assert (win.n_segments, win.n_atoms) == (n, 0)
 
     @pytest.mark.parametrize("name, make, box", KINDS)
     def test_nonpositive_radius_rejected(self, name, make, box):
