@@ -12,10 +12,13 @@ Faithful schedules force the vertical steps to collapse extremely fast
 (``h_{k+1} <= 2^{-2k-5} min(h_k, shortest segment)``) and take
 ``n_k`` as the smallest integer above ``1/h_k^2``; generation 2 then already
 has ~2^45 segments, so everything here is built around one *lazy, window
-restricted* descent in exact rational arithmetic (``CantorMeasure``).  By
-default it collapses sub-resolution periodic runs of children into
-equivalent uniform segments (mass preserved exactly); at resolution 0 it
-returns the exact restriction.
+restricted* descent (``CantorMeasure``).  It is exact: its coordinates are
+Python ints over one common denominator (the lcm of the layout's, fixed
+per schedule and generation, and the query ball's), and its output
+segments become ``Fraction``s only at the end.  By default it collapses
+sub-resolution periodic runs of children into equivalent uniform segments
+(mass preserved exactly); at resolution 0 it returns the exact
+restriction.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
-                       segment_ball_intersects, to_fraction)
+                       to_fraction)
 from .measures import SegmentMeasure, Window
 
 DOWN = "d"
@@ -285,28 +288,6 @@ class _Family:
                                RationalPoint(lo + self.width, self.y),
                                self.density)
 
-    def index_range(self, lo: Fraction, hi: Fraction,
-                    ) -> Optional[Tuple[int, int]]:
-        """Inclusive index range of children whose closed x-interval meets
-        ``[lo, hi]`` (exact)."""
-        if hi < self.x0 or lo > self.x0 + (self.count - 1) * self.pitch + self.width:
-            return None
-        i_lo = max(0, math.ceil((lo - self.x0 - self.width) / self.pitch))
-        i_hi = min(self.count - 1, math.floor((hi - self.x0) / self.pitch))
-        if i_lo > i_hi:
-            return None
-        return i_lo, i_hi
-
-    def run_segment(self, i_lo: int, i_hi: int) -> WeightedSegment:
-        """Uniform segment equivalent to the run ``i_lo..i_hi`` of children:
-        same span, same total mass (exact)."""
-        count = i_hi - i_lo + 1
-        lo = self.x0 + i_lo * self.pitch
-        span = (count - 1) * self.pitch + self.width
-        dens = count * self.width * self.density / span
-        return WeightedSegment(RationalPoint(lo, self.y),
-                               RationalPoint(lo + span, self.y), dens)
-
 
 def _families(parent: WeightedSegment, gen_child: int,
               sched: Schedule) -> Tuple[_Family, _Family]:
@@ -353,14 +334,6 @@ def generate(sched: Schedule, gen: int,
 # window-restricted generation
 # ---------------------------------------------------------------------------
 
-def _box_meets_ball(x_lo: Fraction, x_hi: Fraction, y_lo: Fraction,
-                    y_hi: Fraction, ball: Ball) -> bool:
-    """Exact closed box / closed ball intersection test."""
-    dx = max(Fraction(0), x_lo - ball.cx, ball.cx - x_hi)
-    dy = max(Fraction(0), y_lo - ball.cy, ball.cy - y_hi)
-    return dx * dx + dy * dy <= ball.radius * ball.radius
-
-
 class CantorMeasure:
     """Lazy evaluation view of the generation-``gen`` measure.
 
@@ -398,48 +371,102 @@ class CantorMeasure:
         self.gen = gen
         self.rel_resolution = rel_resolution
         self.max_nodes = max_nodes
+        self._layout = None
 
     @property
     def total_mass(self) -> Fraction:
         return ROOT.mass
 
+    def _int_layout(self):
+        """``(D, widths, pitches, lifts, reaches)``, cached: the tree layout
+        as ints over one denominator ``D``.  A generation-``g`` node of path
+        class ``c`` (its branches as binary digits, down 0, up 1) has width
+        ``widths[g][c]`` and sibling pitch ``pitches[g][c]``; its children
+        have classes ``2c`` and ``2c + 1`` (lifted by ``lifts[g + 1]``), and
+        its subtree reaches ``reaches[g]`` above it."""
+        if self._layout is None:
+            widths = [[Fraction(1)]]
+            pitches = [[Fraction(0)]]
+            for g in range(1, self.gen + 1):
+                a, n = self.sched.a_of(g), self.sched.n_of(g)
+                ws: List[Fraction] = []
+                ps: List[Fraction] = []
+                for length in widths[-1]:
+                    for frac in (1 - a, a):
+                        ws.append(frac * length / n)
+                        ps.append(ws[-1] + (1 - frac) * length / (n - 1))
+                widths.append(ws)
+                pitches.append(ps)
+            lifts = [Fraction(0)] + list(self.sched.h[:self.gen])
+            reaches = [self.sched.h_span(g, self.gen)
+                       for g in range(self.gen + 1)]
+            rows = widths + pitches + [lifts, reaches]
+            d = math.lcm(*(q.denominator for row in rows for q in row))
+            ints = [[q.numerator * (d // q.denominator) for q in row]
+                    for row in rows]
+            k = self.gen + 1
+            self._layout = (d, ints[:k], ints[k:2 * k], ints[-2], ints[-1])
+        return self._layout
+
     def window(self, center, radius: Scalar) -> SegmentMeasure:
         ball = Ball(center, radius)
-        res = self.rel_resolution * ball.radius
         # enlarge so segments touching the closed ball, and runs blurred by
         # up to one pitch, are never missed
-        enlarged = Ball((ball.cx, ball.cy), ball.radius * (1 + self.rel_resolution))
-        lo_x = enlarged.cx - enlarged.radius
-        hi_x = enlarged.cx + enlarged.radius
-        out: List[WeightedSegment] = []
-        stack: List[Tuple[WeightedSegment, int]] = [(ROOT, 0)]
+        big_r = ball.radius * (1 + self.rel_resolution)
+        d, widths, pitches, lifts, reaches = self._int_layout()
+        # every coordinate below is an int over the common denominator u
+        u = math.lcm(d, ball.cx.denominator, ball.cy.denominator,
+                     big_r.denominator)
+        if u != d:
+            k = u // d
+            widths = [[v * k for v in row] for row in widths]
+            pitches = [[v * k for v in row] for row in pitches]
+            lifts = [v * k for v in lifts]
+            reaches = [v * k for v in reaches]
+        cx = ball.cx.numerator * (u // ball.cx.denominator)
+        cy = ball.cy.numerator * (u // ball.cy.denominator)
+        rr = big_r.numerator * (u // big_r.denominator)
+        rr2 = rr * rr
+        lo_x, hi_x = cx - rr, cx + rr
+        # a length L (over u) is below the resolution when L * res_d < res_n
+        res = self.rel_resolution * ball.radius * u
+        res_n, res_d = res.numerator, res.denominator
+        flat = [reach * res_d <= res_n for reach in reaches]
+        # (y, x, width, density) per output segment
+        out: List[Tuple[int, int, int, Scalar]] = []
+        stack: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         # every stacked node is visited, so the budget is checked on push
         pushed = 1
         while stack:
-            seg, g = stack.pop()
-            if g == self.gen:
-                if segment_ball_intersects(seg, enlarged):
-                    out.append(seg)
+            x, y, g, c = stack.pop()
+            w = widths[g][c]
+            dx = max(0, x - cx, cx - x - w)
+            dy = max(0, y - cy, cy - y - reaches[g])
+            if dx * dx + dy * dy > rr2:
                 continue
-            reach = self.sched.h_span(g, self.gen)
-            if not _box_meets_ball(seg.left.x, seg.right.x, seg.y,
-                                   seg.y + reach, enlarged):
+            if g == self.gen or (flat[g] and w * res_d < res_n):
+                # a leaf, or a whole subtree below resolution: its segments
+                # live in this x span, within the reach above, with total
+                # mass exactly this node's
+                out.append((y, x, w, 1))
                 continue
-            if seg.length < res and reach <= res:
-                # whole remaining subtree is below resolution: its segments
-                # live in the seg x span, within `reach` above, with total
-                # mass exactly seg.mass
-                out.append(seg)
-                continue
-            subtree_reach = self.sched.h_span(g + 1, self.gen)
-            for fam in _families(seg, g + 1, self.sched):
-                rng = fam.index_range(lo_x, hi_x)
-                if rng is None:
+            g += 1
+            n = self.sched.n_of(g)
+            for kid in (2 * c, 2 * c + 1):
+                kid_w, pitch = widths[g][kid], pitches[g][kid]
+                i_lo = max(0, -((x + kid_w - lo_x) // pitch))
+                i_hi = min(n - 1, (hi_x - x) // pitch)
+                if i_lo > i_hi:
                     continue
-                if fam.pitch < res and subtree_reach <= res:
-                    out.append(fam.run_segment(rng[0], rng[1]))
+                kid_y = y + lifts[g] if kid & 1 else y
+                count = i_hi - i_lo + 1
+                if flat[g] and pitch * res_d < res_n:
+                    # the run as one uniform segment of the same mass
+                    span = (count - 1) * pitch + kid_w
+                    out.append((kid_y, x + i_lo * pitch, span,
+                                Fraction(count * kid_w, span)))
                     continue
-                pushed += rng[1] - rng[0] + 1
+                pushed += count
                 if pushed > self.max_nodes:
                     raise ResourceBudgetError(
                         f"window descent at center ({float(ball.cx):g}, "
@@ -447,10 +474,14 @@ class CantorMeasure:
                         f"visits more than max_nodes={self.max_nodes} nodes; "
                         f"raise max_nodes or coarsen rel_resolution (now "
                         f"{self.rel_resolution}), or shrink the window")
-                stack.extend((fam.child(i), g + 1)
-                             for i in range(rng[0], rng[1] + 1))
-        out.sort(key=lambda s: (s.y, s.left.x))
-        return SegmentMeasure(out, generation=self.gen)
+                stack.extend((x + i * pitch, kid_y, g, kid)
+                             for i in range(i_lo, i_hi + 1))
+        out.sort(key=lambda t: (t[0], t[1]))
+        return SegmentMeasure(
+            (WeightedSegment(RationalPoint(Fraction(x, u), Fraction(y, u)),
+                             RationalPoint(Fraction(x + w, u), Fraction(y, u)),
+                             dens) for y, x, w, dens in out),
+            generation=self.gen)
 
     def ball_mass(self, ball: Ball) -> Fraction:
         """Mass of the closed ball under the window around it, in exact

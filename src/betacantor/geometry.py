@@ -157,18 +157,14 @@ def _sqrt_fraction_exact(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def clip_segment_to_ball(seg: WeightedSegment, ball: Ball,
-                         ) -> Optional[Tuple[Fraction, Fraction]]:
-    """Intersect a horizontal segment with a closed ball.
-
-    Returns the x-interval ``(lo, hi)`` of the clipped sub-segment (it may
-    be degenerate, ``lo == hi``, when the ball is tangent), or ``None`` when
-    the intersection is empty.  The result is exact when the half-chord
-    ``sqrt(r^2 - dy^2)`` is rational; otherwise the chord is computed in
-    floating point with relative tolerance ``CLIP_REL_TOL`` and returned as
-    an exact fraction of that float.
+def ball_chord(ball: Ball, y: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+    """The x-interval ``(cx - w, cx + w)`` where the line at height ``y``
+    meets a closed ball, or ``None`` when it misses.  Exact when the
+    half-chord ``w = sqrt(r^2 - dy^2)`` is rational; otherwise ``w`` is
+    computed in floating point, widened by the relative tolerance
+    ``CLIP_REL_TOL``, and returned as an exact fraction of that float.
     """
-    dy = seg.y - ball.cy
+    dy = y - ball.cy
     w2 = ball.radius * ball.radius - dy * dy
     if w2 < 0:
         return None
@@ -178,8 +174,22 @@ def clip_segment_to_ball(seg: WeightedSegment, ball: Ball,
         # the sphere are not lost to rounding
         wf = math.sqrt(float(w2))
         w = Fraction(wf * (1.0 + CLIP_REL_TOL))
-    lo = max(seg.left.x, ball.cx - w)
-    hi = min(seg.right.x, ball.cx + w)
+    return ball.cx - w, ball.cx + w
+
+
+def clip_segment_to_ball(seg: WeightedSegment, ball: Ball,
+                         ) -> Optional[Tuple[Fraction, Fraction]]:
+    """Intersect a horizontal segment with a closed ball.
+
+    Returns the x-interval ``(lo, hi)`` of the clipped sub-segment (it may
+    be degenerate, ``lo == hi``, when the ball is tangent), or ``None`` when
+    the intersection is empty; the chord is that of :func:`ball_chord`.
+    """
+    chord = ball_chord(ball, seg.y)
+    if chord is None:
+        return None
+    lo = max(seg.left.x, chord[0])
+    hi = min(seg.right.x, chord[1])
     if lo > hi:
         return None
     return lo, hi

@@ -38,8 +38,7 @@ from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from .geometry import (CLIP_REL_TOL, Ball, RationalPoint, Scalar,
-                       WeightedSegment, clip_segment_to_ball, diameter,
-                       to_fraction)
+                       WeightedSegment, ball_chord, diameter, to_fraction)
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
@@ -115,12 +114,19 @@ class SegmentMeasure:
 
     def ball_mass(self, ball: Ball) -> Fraction:
         """Clipped lengths times densities; exact whenever the chord
-        endpoints are rational."""
+        endpoints are rational.  The chord is computed once per line."""
         total = Fraction(0)
+        chords: dict = {}
         for seg in self.segments:
-            bounds = clip_segment_to_ball(seg, ball)
-            if bounds is not None:
-                total += seg.density * (bounds[1] - bounds[0])
+            y = seg.y
+            if y not in chords:
+                chords[y] = ball_chord(ball, y)
+            chord = chords[y]
+            if chord is not None:
+                lo = max(seg.left.x, chord[0])
+                hi = min(seg.right.x, chord[1])
+                if lo < hi:
+                    total += seg.density * (hi - lo)
         return total
 
     def ball_masses(self, cx: float, cy: float,

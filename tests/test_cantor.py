@@ -250,6 +250,46 @@ class TestWindowedGeneration:
             exact_window(schedule_tame(2), 2, Ball((F(1, 2), 0), 4),
                          max_nodes=10)
 
+    @pytest.mark.parametrize("make, gen, digest", [
+        (lambda: schedule_thm11(2), 2, 
+         "f0f3a78cc222f0e5dfcc29436b1645ce4f071fe4fda9b4c43ee26a8c24b9e478"),
+        (lambda: schedule_thm11(3), 3, 
+         "a31a71ced58949e0eb9592bb2050bfa0ad0897c6128849693bc767082a4bc4b0"),
+        (lambda: schedule_tame(3), 3, 
+         "21ee347ed6f2cb3767d20c6b91a3163cf9667c66d32553c9d8c9f98e3b853017"),
+    ])
+    def test_aggregated_descent_pinned(self, make, gen, digest):
+        # 20 seeded balls per schedule, radii 1e-7 to 0.5, centers cycling
+        # through float points near the support, exact support points, and
+        # support points shifted by a multiple of 1/3 or 1/7 (with radii of
+        # those denominators too); the digest covers the aggregated window
+        # segments in order, the exact ball masses and the unit-window
+        # arrays, and was recorded with the Fraction-coordinate descent
+        import hashlib
+        sched = make()
+        mu = CantorMeasure(sched, gen)
+        rng = random.Random(gen)
+        h = hashlib.sha256()
+        for i in range(20):
+            r = F(10 ** rng.uniform(-7, math.log10(0.5)))
+            pt = point_of(sample_address(sched, gen, rng), sched)
+            cx, cy = pt.x, pt.y
+            if i % 3 == 0:
+                cx = F(float(cx) + rng.uniform(-1, 1) * float(r))
+                cy = F(float(cy) + rng.uniform(-1, 1) * float(r))
+            elif i % 3 == 2:
+                den = (3, 7)[i % 2]
+                cx += F(rng.randrange(-den, den + 1), den) * r
+                r = F(max(1, round(r * den * 2 ** 30)), den * 2 ** 30)
+            for seg in mu.window((cx, cy), r).segments:
+                h.update(f"{seg.left.x} {seg.right.x} {seg.y} "
+                         f"{seg.density};".encode())
+            h.update(f"{mu.ball_mass(Ball((cx, cy), r))};".encode())
+            win = mu.unit_window(cx, cy, r)
+            for arr in (win.s, win.e, win.y, win.m):
+                h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
     def test_separation_bound(self):
         for sched, gen in ((schedule_tame(2), 1), (schedule_tame(2), 2),
                            (schedule_thm11(1), 1)):

@@ -9,7 +9,7 @@ from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         SegmentMeasure, WeightedSegment, atomize, ball_mass,
                         dumps_measure, loads_measure, locate, schedule_tame)
 from betacantor.beta import build_window
-from betacantor.geometry import CLIP_REL_TOL
+from betacantor.geometry import CLIP_REL_TOL, clip_segment_to_ball
 
 LINE = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
                                        RationalPoint(1, 0), 1)])
@@ -41,6 +41,39 @@ class TestBallMass:
         center = (F(1, 3), F(1, 5))
         masses = [ball_mass(mu, Ball(center, F(r, 8))) for r in range(1, 20)]
         assert all(a <= b for a, b in zip(masses, masses[1:]))
+
+    def test_one_chord_per_line_matches_per_segment_clip(self):
+        # several disjoint segments per line, so each chord serves many
+        rng = random.Random(5)
+        segs = []
+        for i in range(-3, 4):
+            cuts = sorted(rng.sample(range(-60, 61), 12))
+            segs += [WeightedSegment(RationalPoint(F(lo, 40), F(i, 9)),
+                                     RationalPoint(F(hi, 40), F(i, 9)),
+                                     F(rng.randrange(1, 6)))
+                     for lo, hi in zip(cuts[::2], cuts[1::2])]
+        mu = SegmentMeasure(segs)
+        a, b, y = segs[0].left.x, segs[0].right.x, segs[0].y
+        t = (b - a) / 8
+        balls = [Ball((F(rng.randrange(-48, 49), 32),
+                       F(rng.randrange(-30, 31), 90)),
+                      F(rng.randrange(1, 80), 40)) for _ in range(150)]
+        balls += [
+            Ball(((a + b) / 2, y + F(1, 5)), F(1, 5)),  # tangent: w2 == 0
+            Ball((a, y - F(1, 5)), F(1, 5)),  # tangent at an endpoint
+            Ball((F(1, 7), y + F(3, 10)), F(1, 2)),  # rational chord 2/5
+            Ball(((a + b) / 2, y + 3 * t), 5 * t),  # chord ends on a, b
+        ]
+        for ball in balls:
+            ref = F(0)
+            for seg in segs:
+                bounds = clip_segment_to_ball(seg, ball)
+                if bounds is not None:
+                    ref += seg.density * (bounds[1] - bounds[0])
+            assert mu.ball_mass(ball) == ref
+        assert mu.ball_mass(balls[-1]) >= segs[0].mass
+        assert clip_segment_to_ball(segs[0], balls[-1]) == (a, b)
+        assert clip_segment_to_ball(segs[0], balls[-4]) == ((a + b) / 2,) * 2
 
     def test_additive_over_disjoint_measures(self):
         a = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
