@@ -16,20 +16,22 @@ objective for a fixed normal direction is convex in the offset, so the
 inner minimization is a derivative bisection on closed-form moments; the
 outer direction search is a uniform grid of 180 angles refined by
 golden section around the best brackets and two analytic seeds (the exact
-L^2 line and the horizontal direction).
+L^2 line and the horizontal direction).  At p = 2 the square functions
+skip windows altogether: the measure's ``ball_moments`` give every scale's
+closed-form objective at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyBallError
 from .geometry import Line, Scalar, to_fraction
-from .measures import AnyMeasure, Window
+from .measures import AnyMeasure, Window, centered_moments, collinear_line
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
@@ -38,7 +40,6 @@ PHI_GRID = 180              # outer uniform grid over [0, pi)
 PHI_TOL = 1e-8              # golden-section stopping width on the angle
 C_BISECT_ITERS = 46         # offset bisection steps (range <= 2.2)
 C_BISECT_COARSE = 22        # cheap pass used only to rank directions
-COLLINEAR_TOL = 1e-12       # collinear-support test, in rescaled units
 DENSE_OCTAVES = 16.0        # increment_pair: dense grid octaves above r_lo
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -199,16 +200,6 @@ class _Projection:
 # closed-form p = 2 minimizer
 # ---------------------------------------------------------------------------
 
-def _window_moments(win: Window):
-    """Mass, raw first and second moments of a window (exact closed forms
-    per piece)."""
-    w = win.m
-    mx = 0.5 * (win.s + win.e)
-    mxx = (win.s ** 2 + win.s * win.e + win.e ** 2) / 3.0
-    return (win.mass, (w * mx).sum(), (w * win.y).sum(), (w * mxx).sum(),
-            (w * win.y ** 2).sum(), (w * mx * win.y).sum())
-
-
 def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
     """Global L^2 minimizer in rescaled coordinates.
 
@@ -216,16 +207,10 @@ def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
     eigenvector of the centered second-moment matrix; the objective equals
     the smallest eigenvalue.  Returns ``(phi, c, objective)``.
     """
-    m, sx, sy, sxx, syy, sxy = _window_moments(win)
-    if m <= 0.0:
+    moments = win.moments()
+    if moments[0] <= 0.0:
         raise EmptyBallError("zero clipped mass")
-    cx, cy = sx / m, sy / m
-    cxx = sxx - m * cx * cx
-    cyy = syy - m * cy * cy
-    cxy = sxy - m * cx * cy
-    half_tr = 0.5 * (cxx + cyy)
-    disc = math.sqrt(max(0.0, (0.5 * (cxx - cyy)) ** 2 + cxy * cxy))
-    lam_min = max(0.0, half_tr - disc)
+    cx, cy, cxx, cyy, cxy, lam_min = centered_moments(*moments)
     # normal direction: eigenvector of the smallest eigenvalue
     v1 = (cxy, lam_min - cxx)
     v2 = (lam_min - cyy, cxy)
@@ -236,36 +221,6 @@ def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
     phi = math.atan2(ny / norm, nx / norm) % math.pi
     c = cx * math.cos(phi) + cy * math.sin(phi)
     return phi, c, lam_min
-
-
-# ---------------------------------------------------------------------------
-# collinearity fast path
-# ---------------------------------------------------------------------------
-
-def _collinear_line(win: Window) -> Optional[Line]:
-    """Return a line carrying the whole window support (within
-    ``COLLINEAR_TOL`` of the rescaled radius), or None."""
-    pts = win.support_points()
-    if len(pts) == 0:
-        return Line.horizontal(0.0)
-    if len(pts) == 1:
-        return Line.horizontal(pts[0, 1])
-    # two extreme support points span the candidate line when the support
-    # is genuinely collinear
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p0, p1 = pts[order[0]], pts[order[-1]]
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    norm = math.hypot(dx, dy)
-    if norm < COLLINEAR_TOL:  # all support at one point
-        return Line.horizontal(p0[1])
-    nx, ny = -dy / norm, dx / norm
-    phi = math.atan2(ny, nx) % math.pi
-    line = Line(phi, p0[0] * math.cos(phi) + p0[1] * math.sin(phi))
-    resid = np.abs(pts[:, 0] * math.cos(line.phi)
-                   + pts[:, 1] * math.sin(line.phi) - line.c)
-    if resid.max() <= COLLINEAR_TOL:
-        return line
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +343,7 @@ def _beta_core(mu: AnyMeasure, x, r: Scalar, p: float) -> _Core:
     if win.mass <= 0.0:
         return _Core(0.0, math.pi / 2, 0.0, 0.0, win.n_segments, win.n_atoms,
                      0)
-    line = _collinear_line(win)
+    line = collinear_line(win.support_points())
     if line is not None:
         return _Core(0.0, line.phi, line.c, win.mass, win.n_segments,
                      win.n_atoms, 0)
@@ -448,21 +403,44 @@ class SquareFunctionDetails:
     empty_balls: int = 0
 
 
+def _p2_values(mu: AnyMeasure, x, radii: List[float],
+               ) -> Iterator[Tuple[float, Optional[float]]]:
+    """The p = 2 values ``(beta, betaTilde)`` per radius, as
+    :func:`beta_both` gives them (betaTilde None on an empty ball), from
+    one ``ball_moments`` call: zero on a collinear support, else the
+    closed-form smallest eigenvalue."""
+    moments, collinear = mu.ball_moments(to_fraction(x[0]),
+                                         to_fraction(x[1]), radii)
+    for row, flat in zip(moments, collinear):
+        mass = row[0]
+        if mass <= 0.0:
+            yield 0.0, None
+            continue
+        obj = 0.0 if flat else centered_moments(*row)[5]
+        yield obj ** 0.5, (obj / mass) ** 0.5
+
+
 def _sum_squares(mu: AnyMeasure, x, p: float,
                  scales: Iterable[Tuple[float, float]],
                  details: Optional[SquareFunctionDetails] = None,
                  ) -> Tuple[float, float]:
     """``sum value(r)^2 * weight`` over ``(r, weight)`` scales for both
-    variants, one line search per scale: ``(beta_sum, betaTilde_sum)``.
-    Mass-normalized terms of empty balls contribute 0 and are counted in
-    ``details.empty_balls``."""
+    variants: ``(beta_sum, betaTilde_sum)``.  At p = 2 one
+    :func:`_p2_values` call serves every scale, otherwise one line search
+    per scale.  Mass-normalized terms of empty balls contribute 0 and are
+    counted in ``details.empty_balls``."""
+    scales = list(scales)
+    if p == 2.0:
+        values = _p2_values(mu, x, [r for r, _ in scales])
+    else:
+        values = ((b.value, None if t is None else t.value)
+                  for b, t in (beta_both(mu, x, r, p) for r, _ in scales))
     total_b = 0.0
     total_t = 0.0
-    for r, weight in scales:
-        b, t = beta_both(mu, x, r, p)
-        total_b += b.value * b.value * weight
+    for (_, weight), (b, t) in zip(scales, values):
+        total_b += b * b * weight
         if t is not None:
-            total_t += t.value * t.value * weight
+            total_t += t * t * weight
         elif details is not None:
             details.empty_balls += 1
     return total_b, total_t
@@ -473,7 +451,8 @@ def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
                     ) -> Tuple[float, float]:
     """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid,
     ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants from one line
-    search per scale: ``(beta_sum, betaTilde_sum)``.
+    search per scale (one ``ball_moments`` call in all at p = 2):
+    ``(beta_sum, betaTilde_sum)``.
 
     Mass-normalized coefficients on empty balls contribute 0 and are
     counted in ``details.empty_balls``.
@@ -486,8 +465,8 @@ def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
 def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
                    lam: float = 2.0 ** -0.25) -> Tuple[float, float]:
     """Square-function sub-sums over ``(r_lo, r_hi]``, anchored at
-    ``r_hi``, for both variants from one line search per scale:
-    ``(beta_sum, betaTilde_sum)``.
+    ``r_hi``, for both variants from one line search per scale (one
+    ``ball_moments`` call in all at p = 2): ``(beta_sum, betaTilde_sum)``.
 
     The grid is dense (ratio ``lam``) over the ``DENSE_OCTAVES`` octaves
     above ``r_lo``, where the integrand concentrates, and one sample per

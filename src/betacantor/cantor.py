@@ -35,8 +35,8 @@ import numpy as np
 from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
-                       to_fraction)
-from .measures import SegmentMeasure, Window
+                       half_chord, to_fraction)
+from .measures import SegmentMeasure, Window, windowed_ball_moments
 
 DOWN = "d"
 UP = "u"
@@ -254,7 +254,7 @@ def children(parent: WeightedSegment, h: Scalar, a: Scalar,
         raise ValueError("need n >= 2")
     if h < 0:
         raise ValueError("need h >= 0")
-    fam = _Family.of(parent, a, n, h, UP if h else DOWN)
+    fam = _Family.of(parent, a, n, h)
     return [fam.child(i) for i in range(n)]
 
 
@@ -268,11 +268,10 @@ class _Family:
     pitch: Fraction
     count: int
     density: Fraction
-    branch: str
 
     @classmethod
     def of(cls, parent: WeightedSegment, frac: Fraction, n: int,
-           dy: Fraction, branch: str) -> "_Family":
+           dy: Fraction) -> "_Family":
         """``n`` equal children of total length ``frac * len(parent)`` on
         the line ``dy`` above ``parent``, first child left-aligned, last
         right-aligned, equal gaps ``(1-frac)/(n-1) * len(parent)``."""
@@ -280,7 +279,7 @@ class _Family:
         width = frac * length / n
         pitch = width + (1 - frac) * length / (n - 1)
         return cls(parent.left.x, parent.y + dy, width, pitch, n,
-                   parent.density, branch)
+                   parent.density)
 
     def child(self, i: int) -> WeightedSegment:
         lo = self.x0 + i * self.pitch
@@ -295,8 +294,8 @@ def _families(parent: WeightedSegment, gen_child: int,
     ``gen_child``."""
     a = sched.a_of(gen_child)
     n = sched.n_of(gen_child)
-    return (_Family.of(parent, 1 - a, n, Fraction(0), DOWN),
-            _Family.of(parent, a, n, sched.h_of(gen_child), UP))
+    return (_Family.of(parent, 1 - a, n, Fraction(0)),
+            _Family.of(parent, a, n, sched.h_of(gen_child)))
 
 
 def refine(parents: Sequence[WeightedSegment], k: int,
@@ -408,8 +407,12 @@ class CantorMeasure:
             self._layout = (d, ints[:k], ints[k:2 * k], ints[-2], ints[-1])
         return self._layout
 
-    def window(self, center, radius: Scalar) -> SegmentMeasure:
-        ball = Ball(center, radius)
+    def _descend(self, ball: Ball,
+                 ) -> Tuple[int, List[Tuple[int, int, int, int]]]:
+        """The one tree descent behind :meth:`window` and :meth:`ball_mass`:
+        ``(u, out)`` with one ``(y, x, w, m)`` per window segment, all ints
+        over the common denominator ``u``: the segment ``[x, x + w] x {y}``
+        of mass ``m`` (``m == w`` for unit density), unsorted."""
         # enlarge so segments touching the closed ball, and runs blurred by
         # up to one pitch, are never missed
         big_r = ball.radius * (1 + self.rel_resolution)
@@ -432,8 +435,7 @@ class CantorMeasure:
         res = self.rel_resolution * ball.radius * u
         res_n, res_d = res.numerator, res.denominator
         flat = [reach * res_d <= res_n for reach in reaches]
-        # (y, x, width, density) per output segment
-        out: List[Tuple[int, int, int, Scalar]] = []
+        out: List[Tuple[int, int, int, int]] = []
         stack: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         # every stacked node is visited, so the budget is checked on push
         pushed = 1
@@ -448,7 +450,7 @@ class CantorMeasure:
                 # a leaf, or a whole subtree below resolution: its segments
                 # live in this x span, within the reach above, with total
                 # mass exactly this node's
-                out.append((y, x, w, 1))
+                out.append((y, x, w, w))
                 continue
             g += 1
             n = self.sched.n_of(g)
@@ -462,9 +464,8 @@ class CantorMeasure:
                 count = i_hi - i_lo + 1
                 if flat[g] and pitch * res_d < res_n:
                     # the run as one uniform segment of the same mass
-                    span = (count - 1) * pitch + kid_w
-                    out.append((kid_y, x + i_lo * pitch, span,
-                                Fraction(count * kid_w, span)))
+                    out.append((kid_y, x + i_lo * pitch,
+                                (count - 1) * pitch + kid_w, count * kid_w))
                     continue
                 pushed += count
                 if pushed > self.max_nodes:
@@ -476,18 +477,59 @@ class CantorMeasure:
                         f"{self.rel_resolution}), or shrink the window")
                 stack.extend((x + i * pitch, kid_y, g, kid)
                              for i in range(i_lo, i_hi + 1))
+        return u, out
+
+    def window(self, center, radius: Scalar) -> SegmentMeasure:
+        u, out = self._descend(Ball(center, radius))
         out.sort(key=lambda t: (t[0], t[1]))
         return SegmentMeasure(
             (WeightedSegment(RationalPoint(Fraction(x, u), Fraction(y, u)),
                              RationalPoint(Fraction(x + w, u), Fraction(y, u)),
-                             dens) for y, x, w, dens in out),
+                             1 if m == w else Fraction(m, w))
+             for y, x, w, m in out),
             generation=self.gen)
 
     def ball_mass(self, ball: Ball) -> Fraction:
         """Mass of the closed ball under the window around it, in exact
         rationals: the true mass at ``rel_resolution=0``, the mass of the
-        aggregated window otherwise."""
-        return self.window((ball.cx, ball.cy), ball.radius).ball_mass(ball)
+        aggregated window otherwise.  The window segments are clipped with
+        one :func:`half_chord` per line and summed as ints over
+        ``v = lcm(u, den(r))`` (times the denominator of an irrational
+        chord's dyadic float); a fraction is made only per distinct
+        denominator."""
+        u, out = self._descend(ball)
+        v = math.lcm(u, ball.radius.denominator)
+        k = v // u
+        cx = ball.cx.numerator * (v // ball.cx.denominator)
+        cy = ball.cy.numerator * (v // ball.cy.denominator)
+        r = ball.radius.numerator * (v // ball.radius.denominator)
+        r2, v2 = r * r, v * v
+        # per line: None when the chord misses, else (lo, hi, s) over v * s
+        chords: Dict[int, Optional[Tuple[int, int, int]]] = {}
+        # clipped masses (clip * m / w) as numerators over v * s * w, keyed
+        # by (s, w)
+        sums: Dict[Tuple[int, int], int] = {}
+        for y, x, w, m in out:
+            if y not in chords:
+                dy = y * k - cy
+                w2 = r2 - dy * dy
+                if w2 < 0:
+                    chords[y] = None
+                else:
+                    half = half_chord(w2, v2)
+                    s = half.denominator // math.gcd(half.denominator, v)
+                    hw = half.numerator * (v * s // half.denominator)
+                    chords[y] = (cx * s - hw, cx * s + hw, s)
+            chord = chords[y]
+            if chord is None:
+                continue
+            lo_c, hi_c, s = chord
+            lo = max(x * k * s, lo_c)
+            hi = min((x + w) * k * s, hi_c)
+            if lo < hi:
+                sums[s, w] = sums.get((s, w), 0) + (hi - lo) * m
+        return sum((Fraction(n, v * s * w) for (s, w), n in sums.items()),
+                   Fraction(0))
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
@@ -500,6 +542,8 @@ class CantorMeasure:
         """The lazy window around ``B((cx, cy), r)``, rescaled to the unit
         ball like any segment measure."""
         return self.window((cx, cy), r).unit_window(cx, cy, r)
+
+    ball_moments = windowed_ball_moments
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

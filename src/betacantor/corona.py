@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,22 +110,31 @@ class Lattice:
 def _greedy_net(xs: np.ndarray, ys: np.ndarray, ms: np.ndarray,
                 spacing: float) -> List[int]:
     """Maximal net: atoms in decreasing-mass order (ties lexicographic),
-    accepted when strictly farther than ``spacing`` from all accepted."""
-    order = sorted(range(len(xs)), key=lambda i: (-ms[i], xs[i], ys[i]))
-    cand_x: List[float] = []
-    cand_y: List[float] = []
+    accepted when strictly farther than ``spacing`` from all accepted.
+    Each accepted atom marks the atoms it covers in one vectorized pass."""
+    covered = np.zeros(len(xs), dtype=bool)
     accepted: List[int] = []
-    for i in order:
-        if accepted:
-            ax = np.asarray(cand_x)
-            ay = np.asarray(cand_y)
-            if ((ax - xs[i]) ** 2 + (ay - ys[i]) ** 2
-                    <= spacing * spacing).any():
-                continue
+    for i in np.lexsort((ys, xs, -ms)).tolist():
+        if covered[i]:
+            continue
         accepted.append(i)
-        cand_x.append(xs[i])
-        cand_y.append(ys[i])
+        covered |= (xs[i] - xs) ** 2 + (ys[i] - ys) ** 2 <= spacing * spacing
     return accepted
+
+
+def _nearest(cx: np.ndarray, cy: np.ndarray, px: np.ndarray,
+             py: np.ndarray) -> np.ndarray:
+    """Index of the nearest center ``(cx, cy)`` to each point ``(px, py)``,
+    the first one on ties: a running minimum over the centers, so no
+    centers-by-points matrix is built."""
+    best = np.zeros(len(px), dtype=int)
+    best_d2 = np.full(len(px), np.inf)
+    for j in range(len(cx)):
+        d2 = (cx[j] - px) ** 2 + (cy[j] - py) ** 2
+        closer = d2 < best_d2
+        best[closer] = j
+        best_d2[closer] = d2[closer]
+    return best
 
 
 def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
@@ -162,23 +171,16 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
         raise InvariantViolationError("top level must hold a single net point")
 
     # finest level: nearest-center assignment of atoms
-    def nearest(centers: Sequence[int], px: float, py: float) -> int:
-        cx = xs[list(centers)]
-        cy = ys[list(centers)]
-        d2 = (cx - px) ** 2 + (cy - py) ** 2
-        return list(centers)[int(np.argmin(d2))]
-
     fine_centers = nets[-1]
-    assign: Dict[int, List[int]] = {c: [] for c in fine_centers}
-    for i in range(len(xs)):
-        assign[nearest(fine_centers, xs[i], ys[i])].append(i)
+    owner = _nearest(xs[fine_centers], ys[fine_centers], xs, ys)
 
     next_id = 0
     levels: List[List[LatticeCube]] = []
     fine_cubes: List[LatticeCube] = []
-    for c in fine_centers:
+    for j, c in enumerate(fine_centers):
         cube = LatticeCube(level_params[-1][0], (float(xs[c]), float(ys[c])),
-                           level_params[-1][1], frozenset(assign[c]),
+                           level_params[-1][1],
+                           frozenset(np.flatnonzero(owner == j).tolist()),
                            cube_id=next_id)
         next_id += 1
         fine_cubes.append(cube)
@@ -189,9 +191,11 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
         _, r = level_params[d]
         centers = nets[d]
         groups: Dict[int, List[LatticeCube]] = {c: [] for c in centers}
-        for child in levels[-1]:
-            c = nearest(centers, child.center[0], child.center[1])
-            groups[c].append(child)
+        owner = _nearest(xs[centers], ys[centers],
+                         np.array([ch.center[0] for ch in levels[-1]]),
+                         np.array([ch.center[1] for ch in levels[-1]]))
+        for child, j in zip(levels[-1], owner.tolist()):
+            groups[centers[j]].append(child)
         row: List[LatticeCube] = []
         for c in centers:
             members = frozenset().union(*(ch.members for ch in groups[c])) \

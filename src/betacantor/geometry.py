@@ -145,35 +145,31 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
-def _sqrt_fraction_exact(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
+def half_chord(num: int, den: int) -> Fraction:
+    """The half-chord ``sqrt(num / den)`` for ints ``num >= 0`` and
+    ``den > 0``.  It is exact when ``num`` and ``den`` are both perfect
+    squares, which for a reduced fraction or a square ``den`` is exactly
+    when the root is rational.  Otherwise it is the float square root,
+    widened by the relative tolerance ``CLIP_REL_TOL`` so that points on the
+    sphere are not lost to rounding, as an exact fraction of that float
+    (``num / den`` is correctly rounded for ints of any size, like
+    ``float(Fraction)``)."""
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
-    return None
+    return Fraction(math.sqrt(num / den) * (1.0 + CLIP_REL_TOL))
 
 
 def ball_chord(ball: Ball, y: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
     """The x-interval ``(cx - w, cx + w)`` where the line at height ``y``
-    meets a closed ball, or ``None`` when it misses.  Exact when the
-    half-chord ``w = sqrt(r^2 - dy^2)`` is rational; otherwise ``w`` is
-    computed in floating point, widened by the relative tolerance
-    ``CLIP_REL_TOL``, and returned as an exact fraction of that float.
-    """
+    meets a closed ball, or ``None`` when it misses; ``w`` is the
+    :func:`half_chord` of ``r^2 - dy^2``."""
     dy = y - ball.cy
     w2 = ball.radius * ball.radius - dy * dy
     if w2 < 0:
         return None
-    w = _sqrt_fraction_exact(w2)
-    if w is None:
-        # float fallback; inflate by the stated tolerance so that points on
-        # the sphere are not lost to rounding
-        wf = math.sqrt(float(w2))
-        w = Fraction(wf * (1.0 + CLIP_REL_TOL))
+    w = half_chord(w2.numerator, w2.denominator)
     return ball.cx - w, ball.cx + w
 
 

@@ -11,7 +11,7 @@ Two concrete representations are used throughout:
 
 Every measure kind (these two and the lazy ``cantor.CantorMeasure``,
 together ``AnyMeasure``) answers the ball-mass protocol (the first two
-methods) and the window protocol (the last two):
+methods) and the window protocol (the last three):
 
 * ``ball_mass(ball) -> Fraction`` -- the exact mass of a closed ball;
 * ``ball_masses(cx, cy, radii) -> np.ndarray`` -- float masses of the
@@ -21,6 +21,10 @@ methods) and the window protocol (the last two):
   ball ``B((cx, cy), r)`` (exact rational center and radius), rescaled to
   the unit ball at the origin, for the best-line searches: one array of
   weighted horizontal pieces, where an atom is a piece of zero length;
+* ``ball_moments(cx, cy, radii) -> (moments, collinear)`` -- per radius,
+  the six sums of :meth:`Window.moments` of the unit window and whether
+  its support is collinear (:func:`collinear_line`), for the closed-form
+  p = 2 coefficients at many scales around one center;
 * ``candidate_centers(rho, seed, max_centers)`` -- sorted, distinct,
   deterministic support points, for centering candidate balls.
 """
@@ -32,16 +36,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-from .geometry import (CLIP_REL_TOL, Ball, RationalPoint, Scalar,
+from .geometry import (CLIP_REL_TOL, Ball, Line, RationalPoint, Scalar,
                        WeightedSegment, ball_chord, diameter, to_fraction)
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
+
+#: collinear-support test, in rescaled units
+COLLINEAR_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class Window:
@@ -69,6 +77,97 @@ class Window:
     def support_points(self) -> np.ndarray:
         return np.vstack([np.column_stack([self.s, self.y]),
                           np.column_stack([self.e, self.y])])
+
+    def moments(self) -> Tuple[float, ...]:
+        """Mass, raw first moments (x, y) and raw second moments (xx, yy,
+        xy) of the pieces (exact closed forms per piece)."""
+        w = self.m
+        mx = 0.5 * (self.s + self.e)
+        mxx = (self.s ** 2 + self.s * self.e + self.e ** 2) / 3.0
+        return (self.mass, (w * mx).sum(), (w * self.y).sum(),
+                (w * mxx).sum(), (w * self.y ** 2).sum(),
+                (w * mx * self.y).sum())
+
+
+def collinear_line(pts: np.ndarray) -> Optional[Line]:
+    """Return a line carrying every point of an ``(n, 2)`` array (within
+    ``COLLINEAR_TOL``, in rescaled units), or None."""
+    if len(pts) == 0:
+        return Line.horizontal(0.0)
+    if len(pts) == 1:
+        return Line.horizontal(pts[0, 1])
+    # two extreme support points span the candidate line when the support
+    # is genuinely collinear
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    p0, p1 = pts[order[0]], pts[order[-1]]
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    norm = math.hypot(dx, dy)
+    if norm < COLLINEAR_TOL:  # all support at one point
+        return Line.horizontal(p0[1])
+    nx, ny = -dy / norm, dx / norm
+    phi = math.atan2(ny, nx) % math.pi
+    line = Line(phi, p0[0] * math.cos(phi) + p0[1] * math.sin(phi))
+    resid = np.abs(pts[:, 0] * math.cos(line.phi)
+                   + pts[:, 1] * math.sin(line.phi) - line.c)
+    if resid.max() <= COLLINEAR_TOL:
+        return line
+    return None
+
+
+def centered_moments(m, sx, sy, sxx, syy, sxy):
+    """Centroid, centered second moments and their smallest eigenvalue
+    ``(cx, cy, cxx, cyy, cxy, lam_min)`` from the raw moments of
+    :meth:`Window.moments`; ``lam_min`` is the L^2 objective of the best
+    line."""
+    cx, cy = sx / m, sy / m
+    cxx = sxx - m * cx * cx
+    cyy = syy - m * cy * cy
+    cxy = sxy - m * cx * cy
+    half_tr = 0.5 * (cxx + cyy)
+    disc = math.sqrt(max(0.0, (0.5 * (cxx - cyy)) ** 2 + cxy * cxy))
+    return cx, cy, cxx, cyy, cxy, max(0.0, half_tr - disc)
+
+
+def window_moments(windows: Iterable[Window],
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per window, the six sums of :meth:`Window.moments` and whether
+    :func:`collinear_line` finds its support collinear.
+
+    The collinear test is skipped where the smallest eigenvalue rules it
+    out.  A support that :func:`collinear_line` accepts has every float
+    residual within ``COLLINEAR_TOL``, so every true distance to that line
+    is below ``2 * COLLINEAR_TOL`` (for a segment too: the distance is
+    affine along it, so its endpoints bound it), and the exact eigenvalue
+    is at most ``4 * COLLINEAR_TOL^2 * mass``.  The computed one is off by
+    about ``8 (k + 2) eps * mass`` at most, for ``k`` pieces: each of the
+    six sums adds ``k`` terms of size at most ``m_i`` (rescaled points lie
+    in the unit ball), so it is off by at most ``(k + 2) eps * mass``;
+    each centered entry carries its raw sum's error and three more through
+    ``sx^2 / m`` (the centroid lies in the unit ball too); and by Weyl's
+    inequality the eigenvalue moves by at most twice the largest entry
+    error.  The slack ``16 (k + 2) eps * mass`` doubles that, so a window
+    whose eigenvalue exceeds ``mass * (4 COLLINEAR_TOL^2 + 16 (k + 2)
+    eps)`` is not collinear."""
+    rows = []
+    flags = []
+    for win in windows:
+        mom = win.moments()
+        slack = mom[0] * (4.0 * COLLINEAR_TOL ** 2
+                          + 16.0 * (len(win.m) + 2) * _EPS)
+        rows.append(mom)
+        flags.append(not (mom[0] > 0.0
+                          and centered_moments(*mom)[5] > slack)
+                     and collinear_line(win.support_points()) is not None)
+    return (np.array(rows, dtype=float).reshape(-1, 6),
+            np.array(flags, dtype=bool))
+
+
+def windowed_ball_moments(mu: "AnyMeasure", cx: Fraction, cy: Fraction,
+                          radii: Sequence[Scalar],
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """``ball_moments`` from one ``mu.unit_window`` per radius."""
+    return window_moments(mu.unit_window(cx, cy, to_fraction(r))
+                          for r in radii)
 
 
 @dataclass(frozen=True)
@@ -169,6 +268,8 @@ class SegmentMeasure:
         e_arr = np.asarray(ee, dtype=float)
         rho_arr = np.asarray(rho, dtype=float) * (1.0 / float(r))
         return Window(s_arr, e_arr, yy, rho_arr * (e_arr - s_arr))
+
+    ball_moments = windowed_ball_moments
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
@@ -271,12 +372,29 @@ class AtomicMeasure:
         """The atoms in ``B((cx, cy), r)`` rescaled to the unit ball; the
         membership test runs in floats with tolerance ``CLIP_REL_TOL``
         relative to the radius."""
+        return next(self._unit_windows(cx, cy, [r]))
+
+    def _unit_windows(self, cx: Fraction, cy: Fraction,
+                      radii: Sequence[Scalar]) -> Iterator[Window]:
+        """:meth:`unit_window` for each radius, with the squared distances
+        computed once; each window keeps its atoms in index order."""
         xs, ys, ms = self.float_arrays()
-        fcx, fcy, fr = float(cx), float(cy), float(r)
+        fcx, fcy = float(cx), float(cy)
+        fr = [float(r) for r in radii]
+        lim = [(r * (1.0 + CLIP_REL_TOL)) ** 2 for r in fr]
         d2 = (xs - fcx) ** 2 + (ys - fcy) ** 2
-        keep = d2 <= (fr * (1.0 + CLIP_REL_TOL)) ** 2
-        u = (xs[keep] - fcx) / fr
-        return Window(u, u, (ys[keep] - fcy) / fr, ms[keep] * (1.0 / fr))
+        near = d2 <= max(lim, default=0.0)
+        xs, ys, ms, d2 = xs[near], ys[near], ms[near], d2[near]
+        for r, lim_r in zip(fr, lim):
+            keep = d2 <= lim_r
+            u = (xs[keep] - fcx) / r
+            yield Window(u, u, (ys[keep] - fcy) / r, ms[keep] * (1.0 / r))
+
+    def ball_moments(self, cx: Fraction, cy: Fraction,
+                     radii: Sequence[Scalar],
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`window_moments` of the unit window of each radius."""
+        return window_moments(self._unit_windows(cx, cy, radii))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

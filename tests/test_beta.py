@@ -376,6 +376,63 @@ class TestSquareFunction:
             assert 0 < t <= 10 * (float(sched.h_of(2)) + ref)
 
 
+class TestSquareFunctionP2:
+    """At p = 2 the square function comes from one ``ball_moments`` call;
+    it must equal, bit for bit, the sum over one ``beta_both`` per scale."""
+
+    @staticmethod
+    def per_scale(mu, x, grid):
+        sums = [0.0, 0.0]
+        empty = 0
+        for r in grid.radii():
+            b, t = beta_both(mu, x, r, 2.0)
+            sums[0] += b.value * b.value * grid.log_weight
+            if t is None:
+                empty += 1
+            else:
+                sums[1] += t.value * t.value * grid.log_weight
+        return tuple(sums), empty
+
+    @pytest.mark.parametrize("make, centers", [
+        (lambda rng: random_atoms(rng, 400),
+         [(0.1, 0.2), (-0.7, 0.3), (1.6, 1.6)]),
+        (lambda rng: random_segments(rng, 12),
+         [(0.0, 0.0), (0.3, -0.2), (3.0, 3.0)]),
+        (lambda rng: CantorMeasure(schedule_tame(2), 2),
+         [(F(1, 2), 0), (F(1, 5), F(1, 64)), (2.0, 1.0)]),
+    ])
+    def test_matches_beta_both_per_scale(self, make, centers):
+        rng = random.Random(47)
+        mu = make(rng)
+        grid = ScaleGrid(1e-3, 1.0, 2.0 ** -0.5)
+        for x in centers:
+            det = SquareFunctionDetails()
+            got = square_function(mu, x, 2.0, grid, det)
+            want, empty = self.per_scale(mu, x, grid)
+            assert got == want
+            assert det.empty_balls == empty
+        assert empty > 0  # the last center sits off the support
+
+    def test_collinear_atoms_vanish_at_every_scale(self):
+        # the two cases of acceptance 2 on atoms: a horizontal row, and
+        # exact rational points on slanted lines
+        grid = ScaleGrid(1e-3, 4.0, 2.0 ** -0.5)
+        rng = random.Random(1002)
+        row = AtomicMeasure([(F(i, 13), F(2, 9), F(rng.randrange(1, 4)))
+                             for i in range(-20, 20)])
+        assert square_function(row, (F(1, 13), F(2, 9)), 2.0, grid) == \
+            (0.0, 0.0)
+        for _ in range(40):
+            m = F(rng.randrange(-40, 40), 17)
+            b = F(rng.randrange(-40, 40), 23)
+            xs = sorted(F(rng.randrange(-60, 60), 31) for _ in range(6))
+            mu = AtomicMeasure([(x, m * x + b, F(rng.randrange(1, 4)))
+                                for x in xs])
+            x0 = xs[rng.randrange(len(xs))]
+            assert square_function(mu, (x0, m * x0 + b), 2.0, grid) == \
+                (0.0, 0.0)
+
+
 class TestLowerBoundProbe:
     def test_single_line_probe_vanishes(self):
         mu = SegmentMeasure([WeightedSegment(RationalPoint(-4, 0),

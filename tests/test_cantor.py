@@ -307,6 +307,57 @@ class TestWindowedGeneration:
         assert max_separation_squared(segs) == brute
 
 
+class TestIntegerBallMass:
+    """``CantorMeasure.ball_mass`` clips the descent output in ints; it
+    must equal the ``Fraction`` clip of the same window exactly."""
+
+    @pytest.mark.parametrize("make, gen, res", [
+        (lambda: schedule_thm11(2), 2, None),
+        (lambda: schedule_thm11(3), 3, None),
+        (lambda: schedule_tame(3), 3, None),
+        (lambda: schedule_tame(2), 2, 0),
+        (lambda: schedule_thm11(2), 1, 0),
+    ])
+    def test_matches_window_clip(self, make, gen, res):
+        sched = make()
+        mu = CantorMeasure(sched, gen, rel_resolution=res)
+        rng = random.Random(31 + gen)
+        for i in range(20):
+            pt = point_of(sample_address(sched, gen, rng), sched)
+            # dyadic radii from 1e-7 to 0.5: mostly irrational chords
+            r = F(10 ** rng.uniform(-7, math.log10(0.5)))
+            kind = i % 5
+            if kind == 0:
+                center = (pt.x, pt.y)
+            elif kind == 1:
+                center = (float(pt.x) + rng.uniform(-1, 1) * float(r),
+                          float(pt.y) + rng.uniform(-1, 1) * float(r))
+            elif kind == 2:
+                den = (3, 7)[i % 2]
+                center = (pt.x + F(rng.randrange(-den, den + 1), den) * r,
+                          pt.y)
+                r = F(max(1, round(r * den * 2 ** 30)), den * 2 ** 30)
+            elif kind == 3:
+                # a 3-4-5 triangle: rational half-chord 4t on the line of pt
+                t = F(max(1, round(r * 2 ** 30)), 5 * 2 ** 30)
+                center, r = (pt.x, pt.y + 3 * t), 5 * t
+            else:
+                # tangent to the line of pt from above
+                center = (pt.x, pt.y + r)
+            ball = Ball(center, r)
+            want = mu.window((ball.cx, ball.cy), ball.radius).ball_mass(ball)
+            assert mu.ball_mass(ball) == want
+
+    def test_budget_error_unchanged(self):
+        mu = CantorMeasure(schedule_tame(3), 3, max_nodes=10)
+        ball = Ball((F(1, 2), 0), F(1, 16))
+        with pytest.raises(ResourceBudgetError) as via_window:
+            mu.window((ball.cx, ball.cy), ball.radius)
+        with pytest.raises(ResourceBudgetError) as via_mass:
+            mu.ball_mass(ball)
+        assert str(via_mass.value) == str(via_window.value)
+
+
 class TestExactWindow:
     def test_ball_mass_matches_full_generation(self):
         # rel_resolution=0 collapses nothing, so its masses are those of

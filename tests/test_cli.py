@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from betacantor.cantor import CantorMeasure
 from betacantor.cli import ExperimentConfig, build_parser, load_config, main
 from betacantor.measures import read_measure
 
@@ -239,6 +240,19 @@ class TestOneSearchPerCoefficient:
 
     def test_sqfn_searches_once_per_point_p_radius(self, monkeypatch,
                                                    tmp_path):
+        # p = 1.5 searches once per radius; p = 2 takes every radius of a
+        # point from one ball_moments call: 6 radii per point for sqfn.csv,
+        # 2 per point and generation window for increments.csv
+        moments = []
+        original = CantorMeasure.ball_moments
+
+        def counting(mu, cx, cy, radii):
+            moments.append(len(radii))
+            return original(mu, cx, cy, radii)
+
+        monkeypatch.setattr(CantorMeasure, "ball_moments", counting)
         calls = self.searches(monkeypatch, tmp_path, "sqfn")
         assert set(calls.values()) == {1}
-        assert sum(calls.values()) == 2 * 2 * (6 + 2 + 2)
+        assert {p for *_, p in calls} == {1.5}
+        assert sum(calls.values()) == 2 * (6 + 2 + 2)
+        assert sorted(moments) == [2, 2, 2, 2, 6, 6]

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
@@ -10,6 +11,7 @@ from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         dumps_measure, loads_measure, locate, schedule_tame)
 from betacantor.beta import build_window
 from betacantor.geometry import CLIP_REL_TOL, clip_segment_to_ball
+from betacantor.measures import collinear_line
 
 LINE = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
                                        RationalPoint(1, 0), 1)])
@@ -187,6 +189,72 @@ class TestUnitWindow:
         for r in (0, -1, F(-1, 3)):
             with pytest.raises(ValueError):
                 build_window(mu, (F(1, 2), 0), r)
+
+
+class TestBallMoments:
+    """``ball_moments`` of each measure kind equals, bit for bit, the
+    moments and the collinear test of one unit window per radius."""
+
+    RADII = [F(1, 4), 0.03, 1.3, 0.1, 0.6, 1e-3, 2.0 ** -0.5]
+
+    @staticmethod
+    def check(mu, cx, cy, radii):
+        moments, collinear = mu.ball_moments(cx, cy, radii)
+        assert moments.shape == (len(radii), 6)
+        assert collinear.shape == (len(radii),)
+        for i, r in enumerate(radii):
+            win = mu.unit_window(cx, cy, F(r))
+            np.testing.assert_array_equal(moments[i], win.moments())
+            assert collinear[i] == (
+                collinear_line(win.support_points()) is not None)
+
+    @pytest.mark.parametrize("name, make, box", KINDS)
+    def test_matches_unit_windows(self, name, make, box):
+        mu = make()
+        x0, x1, y0, y1 = box
+        rng = random.Random(22)
+        for _ in range(6):
+            self.check(mu, F(rng.uniform(x0, x1)), F(rng.uniform(y0, y1)),
+                       self.RADII)
+
+    def test_atom_windows_keep_index_order(self):
+        # the atom windows are the direct restriction of the float mirrors,
+        # in index order, so their sums add in the same order
+        mu = atom_cloud(31)
+        xs, ys, ms = mu.float_arrays()
+        cx, cy = F(1, 3), F(2, 7)
+        for r in self.RADII:
+            fr = float(r)
+            keep = ((xs - float(cx)) ** 2 + (ys - float(cy)) ** 2
+                    <= (fr * (1.0 + CLIP_REL_TOL)) ** 2)
+            win = mu.unit_window(cx, cy, F(r))
+            np.testing.assert_array_equal(win.s, (xs[keep] - float(cx)) / fr)
+            np.testing.assert_array_equal(win.y, (ys[keep] - float(cy)) / fr)
+            np.testing.assert_array_equal(win.m, ms[keep] * (1.0 / fr))
+
+    def test_atoms_collinear_until_an_outlier_enters(self):
+        # exact rational atoms on y = (3/7)x - 2/5, one atom off the line
+        # at distance 1 from the center, and a horizontal row
+        m, b0 = F(3, 7), F(-2, 5)
+        line = [(x, m * x + b0, 1) for x in
+                (F(-1, 2), F(1, 3), F(2, 3), F(9, 10), F(1, 11))]
+        mu = AtomicMeasure(line + [(0, b0 + 1, 2)])
+        radii = [F(1, 8), F(1, 2), F(99, 100), 1, F(3, 2), 4]
+        _, collinear = mu.ball_moments(F(0), b0, radii)
+        assert collinear.tolist() == [True] * 3 + [False] * 3
+        self.check(mu, F(0), b0, radii)
+        row = AtomicMeasure([(F(i, 7), F(1, 3), 1) for i in range(-9, 9)])
+        _, collinear = row.ball_moments(F(0), F(1, 3), radii)
+        assert collinear.all()
+        self.check(row, F(0), F(1, 3), radii)
+
+    def test_empty_and_no_radii(self):
+        mu = atom_cloud(8)
+        moments, _ = mu.ball_moments(F(9), F(9), [F(1, 2), 1])
+        assert (moments == 0).all()
+        for kind in (LINE, mu, CantorMeasure(schedule_tame(1), 1)):
+            moments, collinear = kind.ball_moments(F(1, 2), F(0), [])
+            assert moments.shape == (0, 6) and collinear.shape == (0,)
 
 
 class TestCandidateCenters:
