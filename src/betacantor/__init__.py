@@ -19,10 +19,8 @@ from .density import (DensityProfile, DoublingBallFamily, build_mu_tilde,
                       unrectifiability_witness)
 from .errors import (ConfigError, EmptyBallError, InvariantViolationError,
                      ResourceBudgetError, ScheduleExhaustedError)
-from .geometry import (Ball, Line, RationalPoint, WeightedSegment,
-                       clip_segment_to_ball, diameter)
-from .measures import (AtomicMeasure, SegmentMeasure, atomize, ball_mass,
-                       dumps_measure, loads_measure, read_measure,
-                       write_measure)
+from .geometry import Ball, Line, RationalPoint, WeightedSegment, diameter
+from .measures import (AtomicMeasure, SegmentMeasure, atomize, dumps_measure,
+                       loads_measure, read_measure, write_measure)
 
 __version__ = "0.1.0"

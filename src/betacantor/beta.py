@@ -16,22 +16,27 @@ objective for a fixed normal direction is convex in the offset, so the
 inner minimization is a derivative bisection on closed-form moments; the
 outer direction search is a uniform grid of 180 angles refined by
 golden section around the best brackets and two analytic seeds (the exact
-L^2 line and the horizontal direction).  At p = 2 the square functions
-skip windows altogether: the measure's ``ball_moments`` give every scale's
-closed-form objective at once.
+L^2 line and the horizontal direction).
+
+Every coefficient, single or summed into a square function, scores its
+window through one core: an empty window gives 0; a collinear support
+(screened by the window's moments first) gives 0 on its line; p = 2 takes
+the closed-form smallest eigenvalue; any other p runs the search.  A
+square function asks the measure for all the windows of a point in one
+``unit_windows`` call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import EmptyBallError
 from .geometry import Line, Scalar, to_fraction
-from .measures import AnyMeasure, Window, centered_moments, collinear_line
+from .measures import AnyMeasure, Window, centered_moments
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
@@ -116,11 +121,11 @@ class ScaleGrid:
 
 def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
     """Restrict ``mu`` to ``B(x, r)`` and rescale to the unit ball: the
-    measure's own ``unit_window`` at the exact center and radius."""
+    measure's own ``unit_windows`` at the exact center and radius."""
     r = to_fraction(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return mu.unit_window(to_fraction(x[0]), to_fraction(x[1]), r)
+    return next(mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]), [r]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,37 +328,34 @@ def _map_line_back(phi: float, c: float, x, r) -> Line:
 # public evaluation entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Core:
-    """Shared minimization result in rescaled coordinates."""
-
-    objective: float
-    phi: float
-    c: float
-    mass: float
-    segments: int
-    atoms: int
-    iterations: int
-
-
-def _beta_core(mu: AnyMeasure, x, r: Scalar, p: float) -> _Core:
+def _best_line(win: Window, p: float) -> Tuple[float, float, float, int]:
+    """The one core behind every coefficient: ``(objective, phi, c,
+    iterations)`` of the best line in rescaled coordinates, where the
+    objective is ``int dist^p`` over the window.  An empty window scores 0
+    (on the horizontal line through the center), a collinear support 0 on
+    its line; otherwise p = 2 takes the closed form and any other p the
+    search."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    win = build_window(mu, x, r)
     if win.mass <= 0.0:
-        return _Core(0.0, math.pi / 2, 0.0, 0.0, win.n_segments, win.n_atoms,
-                     0)
-    line = collinear_line(win.support_points())
+        return 0.0, math.pi / 2, 0.0, 0
+    line = win.collinear_line()
     if line is not None:
-        return _Core(0.0, line.phi, line.c, win.mass, win.n_segments,
-                     win.n_atoms, 0)
+        return 0.0, line.phi, line.c, 0
     if p == 2.0:
         phi, c, obj = best_line_p2_window(win)
         iters = 0
     else:
         phi, c, obj, iters = best_line_search_window(win, p)
-    return _Core(max(0.0, obj), phi, c, win.mass, win.n_segments,
-                 win.n_atoms, iters)
+    return max(0.0, obj), phi, c, iters
+
+
+def _values(obj: float, mass: float, p: float,
+            ) -> Tuple[float, Optional[float]]:
+    """The values ``(beta, betaTilde)`` of a window's objective; betaTilde
+    is None on an empty window."""
+    tilde = (obj / mass) ** (1.0 / p) if mass > 0.0 else None
+    return obj ** (1.0 / p), tilde
 
 
 def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
@@ -365,15 +367,14 @@ def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
     is None on a ball of zero mass (the radius-normalized one vanishes
     there).
     """
-    core = _beta_core(mu, x, r, p)
-    b = BetaResult(core.objective ** (1.0 / p),
-                   _map_line_back(core.phi, core.c, x, r), "beta", p,
-                   core.mass * float(r), core.segments, core.atoms,
-                   core.iterations)
-    if core.mass <= 0.0:
+    win = build_window(mu, x, r)
+    obj, phi, c, iters = _best_line(win, p)
+    value, tilde = _values(obj, win.mass, p)
+    b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
+                   win.mass * float(r), win.n_segments, win.n_atoms, iters)
+    if tilde is None:
         return b, None
-    return b, replace(b, value=(core.objective / core.mass) ** (1.0 / p),
-                      variant="betaTilde")
+    return b, replace(b, value=tilde, variant="betaTilde")
 
 
 def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
@@ -403,41 +404,21 @@ class SquareFunctionDetails:
     empty_balls: int = 0
 
 
-def _p2_values(mu: AnyMeasure, x, radii: List[float],
-               ) -> Iterator[Tuple[float, Optional[float]]]:
-    """The p = 2 values ``(beta, betaTilde)`` per radius, as
-    :func:`beta_both` gives them (betaTilde None on an empty ball), from
-    one ``ball_moments`` call: zero on a collinear support, else the
-    closed-form smallest eigenvalue."""
-    moments, collinear = mu.ball_moments(to_fraction(x[0]),
-                                         to_fraction(x[1]), radii)
-    for row, flat in zip(moments, collinear):
-        mass = row[0]
-        if mass <= 0.0:
-            yield 0.0, None
-            continue
-        obj = 0.0 if flat else centered_moments(*row)[5]
-        yield obj ** 0.5, (obj / mass) ** 0.5
-
-
 def _sum_squares(mu: AnyMeasure, x, p: float,
                  scales: Iterable[Tuple[float, float]],
                  details: Optional[SquareFunctionDetails] = None,
                  ) -> Tuple[float, float]:
     """``sum value(r)^2 * weight`` over ``(r, weight)`` scales for both
-    variants: ``(beta_sum, betaTilde_sum)``.  At p = 2 one
-    :func:`_p2_values` call serves every scale, otherwise one line search
-    per scale.  Mass-normalized terms of empty balls contribute 0 and are
-    counted in ``details.empty_balls``."""
+    variants: ``(beta_sum, betaTilde_sum)``, from one ``unit_windows`` call
+    and one :func:`_best_line` per window.  Mass-normalized terms of empty
+    balls contribute 0 and are counted in ``details.empty_balls``."""
     scales = list(scales)
-    if p == 2.0:
-        values = _p2_values(mu, x, [r for r, _ in scales])
-    else:
-        values = ((b.value, None if t is None else t.value)
-                  for b, t in (beta_both(mu, x, r, p) for r, _ in scales))
+    windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]),
+                              [r for r, _ in scales])
     total_b = 0.0
     total_t = 0.0
-    for (_, weight), (b, t) in zip(scales, values):
+    for (_, weight), win in zip(scales, windows):
+        b, t = _values(_best_line(win, p)[0], win.mass, p)
         total_b += b * b * weight
         if t is not None:
             total_t += t * t * weight
@@ -450,9 +431,9 @@ def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
                     details: Optional[SquareFunctionDetails] = None,
                     ) -> Tuple[float, float]:
     """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid,
-    ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants from one line
-    search per scale (one ``ball_moments`` call in all at p = 2):
-    ``(beta_sum, betaTilde_sum)``.
+    ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants from one
+    ``unit_windows`` call and one line per scale: ``(beta_sum,
+    betaTilde_sum)``.
 
     Mass-normalized coefficients on empty balls contribute 0 and are
     counted in ``details.empty_balls``.
@@ -465,8 +446,8 @@ def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
 def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
                    lam: float = 2.0 ** -0.25) -> Tuple[float, float]:
     """Square-function sub-sums over ``(r_lo, r_hi]``, anchored at
-    ``r_hi``, for both variants from one line search per scale (one
-    ``ball_moments`` call in all at p = 2): ``(beta_sum, betaTilde_sum)``.
+    ``r_hi``, for both variants from one ``unit_windows`` call and one line
+    per scale: ``(beta_sum, betaTilde_sum)``.
 
     The grid is dense (ratio ``lam``) over the ``DENSE_OCTAVES`` octaves
     above ``r_lo``, where the integrand concentrates, and one sample per

@@ -28,7 +28,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        half_chord, to_fraction)
-from .measures import SegmentMeasure, Window, windowed_ball_moments
+from .measures import SegmentMeasure, Window
 
 DOWN = "d"
 UP = "u"
@@ -538,12 +539,12 @@ class CantorMeasure:
         return np.array([float(self.ball_mass(Ball((cx, cy), r)))
                          for r in radii], dtype=float)
 
-    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
-        """The lazy window around ``B((cx, cy), r)``, rescaled to the unit
-        ball like any segment measure."""
-        return self.window((cx, cy), r).unit_window(cx, cy, r)
-
-    ball_moments = windowed_ball_moments
+    def unit_windows(self, cx: Fraction, cy: Fraction,
+                     radii: Sequence[Scalar]) -> Iterator[Window]:
+        """The lazy window around each ``B((cx, cy), r)``, rescaled to the
+        unit ball like any segment measure."""
+        for r in radii:
+            yield from self.window((cx, cy), r).unit_windows(cx, cy, [r])
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

@@ -469,13 +469,14 @@ def _atom_cloud(cfg: ExperimentConfig, max_atoms: int):
 def cmd_corona(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     atoms, gen = _atom_cloud(cfg, max_atoms=30_000)
-    lattice = build_lattice(atoms, cfg.a0, cfg.c0, cfg.depth)
+    lattice = build_lattice(atoms, cfg.a0, cfg.depth)
     tree = corona_decompose(lattice, cfg.c_thr)
     _write_json(out / "corona.json", cfg, {
         "source_generation": gen,
         "n_atoms": len(atoms),
         "n_cubes": len(lattice.cubes),
         "root_mass_ratio": tree.root_mass_ratio(),
+        "c0": cfg.c0,
         **tree.to_json_dict(),
     })
     rows = []

@@ -51,11 +51,10 @@ class Lattice:
     """Hierarchy of cubes over an atomic measure; see the module docstring
     for the contract."""
 
-    def __init__(self, mu: AtomicMeasure, a0: float, c0: float, k0: int,
+    def __init__(self, mu: AtomicMeasure, a0: float, k0: int,
                  levels: List[List[LatticeCube]]):
         self.mu = mu
         self.a0 = a0
-        self.c0 = c0
         self.k0 = k0
         self.levels = levels
         self.cubes: List[LatticeCube] = [q for lvl in levels for q in lvl]
@@ -137,7 +136,7 @@ def _nearest(cx: np.ndarray, cy: np.ndarray, px: np.ndarray,
     return best
 
 
-def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
+def build_lattice(mu: AtomicMeasure, a0: float = 50.0,
                   depth: int = 3) -> Lattice:
     """Construct the lattice: per level a greedy mass-ordered net with
     spacing ``10 A0^-k``, atoms assigned to the nearest finest-level
@@ -149,8 +148,6 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
     if a0 < MIN_A0:
         raise ValueError(f"a0 must be at least {MIN_A0} for the containment "
                          "and disjointness constraints")
-    if c0 < 1:
-        raise ValueError("c0 must be at least 1")
     if len(mu) == 0:
         raise ValueError("empty atom set")
     if depth < 0:
@@ -211,7 +208,7 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0, c0: float = 10.0,
         levels.append(row)
 
     levels.reverse()
-    lattice = Lattice(mu, a0, c0, k0, levels)
+    lattice = Lattice(mu, a0, k0, levels)
     lattice.assert_invariants()
     return lattice
 
@@ -248,7 +245,6 @@ class CoronaTree:
         return {
             "c_thr": self.c_thr,
             "a0": self.lattice.a0,
-            "c0": self.lattice.c0,
             "roots": [
                 {
                     "cube_id": r.cube_id,

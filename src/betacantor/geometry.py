@@ -1,6 +1,6 @@
 """Exact planar primitives that everything else is built on: rational
 points, horizontal weighted segments, lines in normal form, closed balls,
-ball clipping and diameters.
+ball chords and diameters.
 
 Construction geometry is kept in exact rational arithmetic
 (``fractions.Fraction``); evaluation switches to floats only after the
@@ -171,36 +171,6 @@ def ball_chord(ball: Ball, y: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
         return None
     w = half_chord(w2.numerator, w2.denominator)
     return ball.cx - w, ball.cx + w
-
-
-def clip_segment_to_ball(seg: WeightedSegment, ball: Ball,
-                         ) -> Optional[Tuple[Fraction, Fraction]]:
-    """Intersect a horizontal segment with a closed ball.
-
-    Returns the x-interval ``(lo, hi)`` of the clipped sub-segment (it may
-    be degenerate, ``lo == hi``, when the ball is tangent), or ``None`` when
-    the intersection is empty; the chord is that of :func:`ball_chord`.
-    """
-    chord = ball_chord(ball, seg.y)
-    if chord is None:
-        return None
-    lo = max(seg.left.x, chord[0])
-    hi = min(seg.right.x, chord[1])
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def segment_ball_intersects(seg: WeightedSegment, ball: Ball) -> bool:
-    """Exact predicate: does the closed segment meet the closed ball?
-
-    Uses the nearest point of the segment to the center, so no square root
-    is required and rational inputs are decided exactly.
-    """
-    xn = min(max(ball.cx, seg.left.x), seg.right.x)
-    dx = xn - ball.cx
-    dy = seg.y - ball.cy
-    return dx * dx + dy * dy <= ball.radius * ball.radius
 
 
 def _convex_hull(points: Sequence[Tuple[float, float]]):

@@ -11,20 +11,17 @@ Two concrete representations are used throughout:
 
 Every measure kind (these two and the lazy ``cantor.CantorMeasure``,
 together ``AnyMeasure``) answers the ball-mass protocol (the first two
-methods) and the window protocol (the last three):
+methods) and the window protocol (the last two):
 
 * ``ball_mass(ball) -> Fraction`` -- the exact mass of a closed ball;
 * ``ball_masses(cx, cy, radii) -> np.ndarray`` -- float masses of the
   closed balls ``B((cx, cy), r)``, one per radius, for screening many
   balls around one center;
-* ``unit_window(cx, cy, r) -> Window`` -- the restriction to the closed
-  ball ``B((cx, cy), r)`` (exact rational center and radius), rescaled to
-  the unit ball at the origin, for the best-line searches: one array of
-  weighted horizontal pieces, where an atom is a piece of zero length;
-* ``ball_moments(cx, cy, radii) -> (moments, collinear)`` -- per radius,
-  the six sums of :meth:`Window.moments` of the unit window and whether
-  its support is collinear (:func:`collinear_line`), for the closed-form
-  p = 2 coefficients at many scales around one center;
+* ``unit_windows(cx, cy, radii) -> Iterator[Window]`` -- per radius, the
+  restriction to the closed ball ``B((cx, cy), r)`` (exact rational
+  center), rescaled to the unit ball at the origin, for the best-line
+  coefficients: one array of weighted horizontal pieces, where an atom is
+  a piece of zero length;
 * ``candidate_centers(rho, seed, max_centers)`` -- sorted, distinct,
   deterministic support points, for centering candidate balls.
 """
@@ -57,7 +54,7 @@ class Window:
     origin: float arrays of horizontal pieces ``[s, e] x {y}`` of mass
     ``m``; a piece with ``s == e`` is a point mass."""
 
-    __slots__ = ("s", "e", "y", "m", "mass")
+    __slots__ = ("s", "e", "y", "m", "mass", "_moments")
 
     def __init__(self, s, e, y, m):
         self.s = np.asarray(s, dtype=float)
@@ -65,6 +62,7 @@ class Window:
         self.y = np.asarray(y, dtype=float)
         self.m = np.asarray(m, dtype=float)
         self.mass = float(self.m.sum())
+        self._moments: Optional[Tuple[float, ...]] = None
 
     @property
     def n_segments(self) -> int:
@@ -80,13 +78,41 @@ class Window:
 
     def moments(self) -> Tuple[float, ...]:
         """Mass, raw first moments (x, y) and raw second moments (xx, yy,
-        xy) of the pieces (exact closed forms per piece)."""
-        w = self.m
-        mx = 0.5 * (self.s + self.e)
-        mxx = (self.s ** 2 + self.s * self.e + self.e ** 2) / 3.0
-        return (self.mass, (w * mx).sum(), (w * self.y).sum(),
-                (w * mxx).sum(), (w * self.y ** 2).sum(),
-                (w * mx * self.y).sum())
+        xy) of the pieces (exact closed forms per piece), computed once."""
+        if self._moments is None:
+            w = self.m
+            mx = 0.5 * (self.s + self.e)
+            mxx = (self.s ** 2 + self.s * self.e + self.e ** 2) / 3.0
+            self._moments = (self.mass, (w * mx).sum(), (w * self.y).sum(),
+                             (w * mxx).sum(), (w * self.y ** 2).sum(),
+                             (w * mx * self.y).sum())
+        return self._moments
+
+    def collinear_line(self) -> Optional[Line]:
+        """:func:`collinear_line` of the support, skipped (None) where the
+        smallest eigenvalue of :meth:`moments` rules collinearity out.
+
+        A support that :func:`collinear_line` accepts has every float
+        residual within ``COLLINEAR_TOL``, so every true distance to that
+        line is below ``2 * COLLINEAR_TOL`` (for a segment too: the distance
+        is affine along it, so its endpoints bound it), and the exact
+        eigenvalue is at most ``4 * COLLINEAR_TOL^2 * mass``.  The computed
+        one is off by about ``8 (k + 2) eps * mass`` at most, for ``k``
+        pieces: each of the six sums adds ``k`` terms of size at most
+        ``m_i`` (rescaled points lie in the unit ball), so it is off by at
+        most ``(k + 2) eps * mass``; each centered entry carries its raw
+        sum's error and three more through ``sx^2 / m`` (the centroid lies
+        in the unit ball too); and by Weyl's inequality the eigenvalue moves
+        by at most twice the largest entry error.  The slack ``16 (k + 2)
+        eps * mass`` doubles that, so a window whose eigenvalue exceeds
+        ``mass * (4 COLLINEAR_TOL^2 + 16 (k + 2) eps)`` is not
+        collinear."""
+        if self.mass > 0.0:
+            slack = self.mass * (4.0 * COLLINEAR_TOL ** 2
+                                 + 16.0 * (len(self.m) + 2) * _EPS)
+            if centered_moments(*self.moments())[5] > slack:
+                return None
+        return collinear_line(self.support_points())
 
 
 def collinear_line(pts: np.ndarray) -> Optional[Line]:
@@ -126,48 +152,6 @@ def centered_moments(m, sx, sy, sxx, syy, sxy):
     half_tr = 0.5 * (cxx + cyy)
     disc = math.sqrt(max(0.0, (0.5 * (cxx - cyy)) ** 2 + cxy * cxy))
     return cx, cy, cxx, cyy, cxy, max(0.0, half_tr - disc)
-
-
-def window_moments(windows: Iterable[Window],
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per window, the six sums of :meth:`Window.moments` and whether
-    :func:`collinear_line` finds its support collinear.
-
-    The collinear test is skipped where the smallest eigenvalue rules it
-    out.  A support that :func:`collinear_line` accepts has every float
-    residual within ``COLLINEAR_TOL``, so every true distance to that line
-    is below ``2 * COLLINEAR_TOL`` (for a segment too: the distance is
-    affine along it, so its endpoints bound it), and the exact eigenvalue
-    is at most ``4 * COLLINEAR_TOL^2 * mass``.  The computed one is off by
-    about ``8 (k + 2) eps * mass`` at most, for ``k`` pieces: each of the
-    six sums adds ``k`` terms of size at most ``m_i`` (rescaled points lie
-    in the unit ball), so it is off by at most ``(k + 2) eps * mass``;
-    each centered entry carries its raw sum's error and three more through
-    ``sx^2 / m`` (the centroid lies in the unit ball too); and by Weyl's
-    inequality the eigenvalue moves by at most twice the largest entry
-    error.  The slack ``16 (k + 2) eps * mass`` doubles that, so a window
-    whose eigenvalue exceeds ``mass * (4 COLLINEAR_TOL^2 + 16 (k + 2)
-    eps)`` is not collinear."""
-    rows = []
-    flags = []
-    for win in windows:
-        mom = win.moments()
-        slack = mom[0] * (4.0 * COLLINEAR_TOL ** 2
-                          + 16.0 * (len(win.m) + 2) * _EPS)
-        rows.append(mom)
-        flags.append(not (mom[0] > 0.0
-                          and centered_moments(*mom)[5] > slack)
-                     and collinear_line(win.support_points()) is not None)
-    return (np.array(rows, dtype=float).reshape(-1, 6),
-            np.array(flags, dtype=bool))
-
-
-def windowed_ball_moments(mu: "AnyMeasure", cx: Fraction, cy: Fraction,
-                          radii: Sequence[Scalar],
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """``ball_moments`` from one ``mu.unit_window`` per radius."""
-    return window_moments(mu.unit_window(cx, cy, to_fraction(r))
-                          for r in radii)
 
 
 @dataclass(frozen=True)
@@ -241,35 +225,37 @@ class SegmentMeasure:
             out[i] = (rr * np.maximum(0.0, hi - lo)).sum()
         return out
 
-    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
-        """The segments in ``B((cx, cy), r)`` rescaled to the unit ball:
-        exact rational rescaling first, then the chord clip in floats with
-        tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
-        ss: List[float] = []
-        ee: List[float] = []
-        yy: List[float] = []
-        rho: List[float] = []
-        for seg in self.segments:
-            y = float((seg.y - cy) / r)
-            if abs(y) > 1.0 + CLIP_REL_TOL:
-                continue
-            w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
-            s = max(float((seg.left.x - cx) / r), -w)
-            e = min(float((seg.right.x - cx) / r), w)
-            if e - s <= 0.0:
-                continue
-            ss.append(s)
-            ee.append(e)
-            yy.append(y)
-            rho.append(float(seg.density) * float(r))
-        # a unit of rescaled density keeps its value while lengths shrink by
-        # r, so rescaled masses are the original ones divided by r
-        s_arr = np.asarray(ss, dtype=float)
-        e_arr = np.asarray(ee, dtype=float)
-        rho_arr = np.asarray(rho, dtype=float) * (1.0 / float(r))
-        return Window(s_arr, e_arr, yy, rho_arr * (e_arr - s_arr))
-
-    ball_moments = windowed_ball_moments
+    def unit_windows(self, cx: Fraction, cy: Fraction,
+                     radii: Sequence[Scalar]) -> Iterator[Window]:
+        """The segments in each ``B((cx, cy), r)`` rescaled to the unit
+        ball: exact rational rescaling first, then the chord clip in floats
+        with tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
+        for r in radii:
+            r = to_fraction(r)
+            ss: List[float] = []
+            ee: List[float] = []
+            yy: List[float] = []
+            rho: List[float] = []
+            for seg in self.segments:
+                y = float((seg.y - cy) / r)
+                if abs(y) > 1.0 + CLIP_REL_TOL:
+                    continue
+                w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
+                s = max(float((seg.left.x - cx) / r), -w)
+                e = min(float((seg.right.x - cx) / r), w)
+                if e - s <= 0.0:
+                    continue
+                ss.append(s)
+                ee.append(e)
+                yy.append(y)
+                rho.append(float(seg.density) * float(r))
+            # a unit of rescaled density keeps its value while lengths
+            # shrink by r, so rescaled masses are the original ones divided
+            # by r
+            s_arr = np.asarray(ss, dtype=float)
+            e_arr = np.asarray(ee, dtype=float)
+            rho_arr = np.asarray(rho, dtype=float) * (1.0 / float(r))
+            yield Window(s_arr, e_arr, yy, rho_arr * (e_arr - s_arr))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
@@ -368,16 +354,12 @@ class AtomicMeasure:
         cum = np.concatenate(([0.0], np.cumsum(ms[near][order])))
         return cum[np.searchsorted(d[order], radii, side="right")]
 
-    def unit_window(self, cx: Fraction, cy: Fraction, r: Fraction) -> Window:
-        """The atoms in ``B((cx, cy), r)`` rescaled to the unit ball; the
+    def unit_windows(self, cx: Fraction, cy: Fraction,
+                     radii: Sequence[Scalar]) -> Iterator[Window]:
+        """The atoms in each ``B((cx, cy), r)`` rescaled to the unit ball,
+        in index order, with the squared distances computed once; the
         membership test runs in floats with tolerance ``CLIP_REL_TOL``
         relative to the radius."""
-        return next(self._unit_windows(cx, cy, [r]))
-
-    def _unit_windows(self, cx: Fraction, cy: Fraction,
-                      radii: Sequence[Scalar]) -> Iterator[Window]:
-        """:meth:`unit_window` for each radius, with the squared distances
-        computed once; each window keeps its atoms in index order."""
         xs, ys, ms = self.float_arrays()
         fcx, fcy = float(cx), float(cy)
         fr = [float(r) for r in radii]
@@ -390,12 +372,6 @@ class AtomicMeasure:
             u = (xs[keep] - fcx) / r
             yield Window(u, u, (ys[keep] - fcy) / r, ms[keep] * (1.0 / r))
 
-    def ball_moments(self, cx: Fraction, cy: Fraction,
-                     radii: Sequence[Scalar],
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`window_moments` of the unit window of each radius."""
-        return window_moments(self._unit_windows(cx, cy, radii))
-
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
         """The distinct atom positions, sorted; a ``seed``-ed sample of
@@ -407,15 +383,11 @@ class AtomicMeasure:
         return centers
 
     def diameter(self) -> float:
-        return diameter(self.points())
+        xs, ys, _ = self.float_arrays()
+        return diameter(zip(xs.tolist(), ys.tolist()))
 
 
 AnyMeasure = Union[SegmentMeasure, AtomicMeasure, "CantorMeasure"]
-
-
-def ball_mass(mu: AnyMeasure, ball: Ball) -> Fraction:
-    """Exact mass of a closed ball under any measure kind."""
-    return mu.ball_mass(ball)
 
 
 def atomize(mu: SegmentMeasure, spacing: Scalar) -> AtomicMeasure:

@@ -328,8 +328,8 @@ def test_11_mu_tilde_pipeline():
         for seg, (ball, m) in zip(mt.segments, zip(fam.balls, fam.masses)):
             cx, cy, r = ball
             ok &= seg.mass == m  # exact by construction
-            ok &= bc.ball_mass(mu, Ball((cx, cy), r)) == m
-            m_lam = bc.ball_mass(mu, Ball((cx, cy), r * lam))
+            ok &= mu.ball_mass(Ball((cx, cy), r)) == m
+            m_lam = mu.ball_mass(Ball((cx, cy), r * lam))
             ok &= m_lam <= 2 * lam ** 2 * m
             ok &= m <= 10 * 3 * lam * r
         ok &= fam.check_disjoint()

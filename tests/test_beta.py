@@ -377,8 +377,9 @@ class TestSquareFunction:
 
 
 class TestSquareFunctionP2:
-    """At p = 2 the square function comes from one ``ball_moments`` call;
-    it must equal, bit for bit, the sum over one ``beta_both`` per scale."""
+    """At p = 2 the square function scores the windows of one
+    ``unit_windows`` call; it must equal, bit for bit, the sum over one
+    ``beta_both`` per scale."""
 
     @staticmethod
     def per_scale(mu, x, grid):

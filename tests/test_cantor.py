@@ -7,7 +7,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import betacantor as bc
 from betacantor import (Ball, CantorMeasure, RationalPoint, SegmentMeasure,
                         WeightedSegment, children, classify, generate,
                         locate, point_of, refine, sample_address,
@@ -22,6 +21,16 @@ UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
 
 # small Figure-1 style schedule: 3 children at step 1, 4 at step 2
 FIG = schedule_custom([F(1, 2), F(1, 4)], [F(1, 4), F(1, 32)], [3, 4])
+
+
+def segment_ball_intersects(seg, ball):
+    """Exact predicate: does the closed segment meet the closed ball?  It
+    takes the nearest point of the segment to the center, so no square
+    root is needed and rational inputs are decided exactly."""
+    xn = min(max(ball.cx, seg.left.x), seg.right.x)
+    dx = xn - ball.cx
+    dy = seg.y - ball.cy
+    return dx * dx + dy * dy <= ball.radius * ball.radius
 
 
 def exact_window(sched, gen, ball, **kw):
@@ -213,7 +222,7 @@ class TestWindowedGeneration:
             maybe = np.nonzero(d <= fr * (1 + 1e-9) + 1e-12)[0]
             brute = sum(
                 1 for i in maybe
-                if bc.geometry.segment_ball_intersects(full.segments[i], ball))
+                if segment_ball_intersects(full.segments[i], ball))
             got = exact_window(sched, 1, ball)
             assert len(got) == brute
 
@@ -230,7 +239,7 @@ class TestWindowedGeneration:
             center = (F(rng.randrange(0, 16), 16), F(rng.randrange(0, 3), 64))
             radius = F(rng.randrange(1, 32), 64)
             ball = Ball(center, radius)
-            exact = float(bc.ball_mass(full, ball))
+            exact = float(full.ball_mass(ball))
             lazy = float(mu.ball_mass(ball))
             tol = float(mu.rel_resolution * radius) * 4 + 1e-12
             assert abs(exact - lazy) <= tol
@@ -285,7 +294,7 @@ class TestWindowedGeneration:
                 h.update(f"{seg.left.x} {seg.right.x} {seg.y} "
                          f"{seg.density};".encode())
             h.update(f"{mu.ball_mass(Ball((cx, cy), r))};".encode())
-            win = mu.unit_window(cx, cy, r)
+            win, = mu.unit_windows(cx, cy, [r])
             for arr in (win.s, win.e, win.y, win.m):
                 h.update(arr.tobytes())
         assert h.hexdigest() == digest

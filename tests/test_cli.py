@@ -217,42 +217,73 @@ class TestOneSearchPerCoefficient:
             "--p", "1.5", "2", "--seed", "4", "--r-min", "0.01",
             "--r-max", "0.5", "--lambda", "0.5"]
 
-    def searches(self, monkeypatch, tmp_path, command):
+    def counted_run(self, monkeypatch, tmp_path, command):
+        """Run ``command``; return the core evaluations and the general-p
+        searches, each per (generation, point, radius, p), and one
+        (generation, point, radii) entry per ``CantorMeasure.unit_windows``
+        call."""
         # the package namespace shadows the module with the function beta
         module = importlib.import_module("betacantor.beta")
-        core = module._beta_core
-        calls = []
+        core = module._best_line
+        search = module.best_line_search_window
+        unit_windows = CantorMeasure.unit_windows
+        tags = {}   # id(window) -> (generation, x, y, r)
+        alive = []  # the tagged windows, so that no id is reused
+        windows = []
+        cores = []
+        searches = []
 
-        def counting(mu, x, r, p):
-            calls.append((mu.gen, float(x[0]), float(x[1]), float(r), p))
-            return core(mu, x, r, p)
+        def tagging(mu, cx, cy, radii):
+            windows.append((mu.gen, float(cx), float(cy), len(radii)))
+            for r, win in zip(radii, unit_windows(mu, cx, cy, radii)):
+                tags[id(win)] = (mu.gen, float(cx), float(cy), float(r))
+                alive.append(win)
+                yield win
 
-        monkeypatch.setattr(module, "_beta_core", counting)
+        def counting_core(win, p):
+            cores.append((*tags[id(win)], p))
+            return core(win, p)
+
+        def counting_search(win, p):
+            searches.append((*tags[id(win)], p))
+            return search(win, p)
+
+        monkeypatch.setattr(CantorMeasure, "unit_windows", tagging)
+        monkeypatch.setattr(module, "_best_line", counting_core)
+        monkeypatch.setattr(module, "best_line_search_window",
+                            counting_search)
         assert run(*self.ARGS, "--out", str(tmp_path / command),
                    command) == 0
-        return Counter(calls)
+        cores, searches = Counter(cores), Counter(searches)
+        # a search runs at most once per coefficient, only at p = 1.5 (p = 2
+        # takes the closed form), and not on a collinear window
+        assert set(searches.values()) == {1}
+        assert set(searches) <= {key for key in cores if key[-1] == 1.5}
+        return cores, windows
+
+    @staticmethod
+    def per_point(windows):
+        """Radii per ``unit_windows`` call, sorted, for each point."""
+        points = {}
+        for *point, n in windows:
+            points.setdefault(tuple(point), []).append(n)
+        return sorted(sorted(ns) for ns in points.values())
 
     def test_beta_searches_once_per_point_p_radius(self, monkeypatch,
                                                    tmp_path):
-        calls = self.searches(monkeypatch, tmp_path, "beta")
-        assert set(calls.values()) == {1}
-        assert sum(calls.values()) == 2 * 2 * 6
+        # one single-radius window per coefficient
+        cores, windows = self.counted_run(monkeypatch, tmp_path, "beta")
+        assert set(cores.values()) == {1}
+        assert sum(cores.values()) == 2 * 2 * 6
+        assert self.per_point(windows) == [[1] * (2 * 6)] * 2
 
     def test_sqfn_searches_once_per_point_p_radius(self, monkeypatch,
                                                    tmp_path):
-        # p = 1.5 searches once per radius; p = 2 takes every radius of a
-        # point from one ball_moments call: 6 radii per point for sqfn.csv,
-        # 2 per point and generation window for increments.csv
-        moments = []
-        original = CantorMeasure.ball_moments
-
-        def counting(mu, cx, cy, radii):
-            moments.append(len(radii))
-            return original(mu, cx, cy, radii)
-
-        monkeypatch.setattr(CantorMeasure, "ball_moments", counting)
-        calls = self.searches(monkeypatch, tmp_path, "sqfn")
-        assert set(calls.values()) == {1}
-        assert {p for *_, p in calls} == {1.5}
-        assert sum(calls.values()) == 2 * (6 + 2 + 2)
-        assert sorted(moments) == [2, 2, 2, 2, 6, 6]
+        # each exponent takes all the radii of a point and sum from one
+        # unit_windows call: 6 radii at each of the 2 points of sqfn.csv, 2
+        # at each of the 2 points per generation window of increments.csv
+        cores, windows = self.counted_run(monkeypatch, tmp_path, "sqfn")
+        assert set(cores.values()) == {1}
+        assert {p for *_, p in cores} == {1.5, 2.0}
+        assert sum(cores.values()) == 2 * 2 * (6 + 2 + 2)
+        assert self.per_point(windows) == [[2, 2]] * 4 + [[6, 6]] * 2

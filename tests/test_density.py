@@ -117,8 +117,8 @@ class TestMuTilde:
         lam = 100
         mt, fam = build_mu_tilde(mu, float(lam), F(1, 8), 0.1, c_star=2.0)
         for (cx, cy, r), m in zip(fam.balls, fam.masses):
-            assert bc.ball_mass(mu, Ball((cx, cy), r)) == m
-            m_lam = bc.ball_mass(mu, Ball((cx, cy), r * lam))
+            assert mu.ball_mass(Ball((cx, cy), r)) == m
+            m_lam = mu.ball_mass(Ball((cx, cy), r * lam))
             assert m_lam <= 2 * lam ** 2 * m
             assert m <= 10 * 2 * lam * r  # c_star = 2, n = 1
 

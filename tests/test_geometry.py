@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from betacantor import (Ball, RationalPoint, WeightedSegment,
-                        clip_segment_to_ball, diameter)
+from betacantor import Ball, RationalPoint, WeightedSegment, diameter
 from betacantor.beta import _Projection
+from betacantor.geometry import ball_chord
 from betacantor.measures import Window
 
 UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
@@ -22,21 +22,32 @@ def seg(x0, y, x1, density=1):
                            density)
 
 
+def clip(s, ball):
+    """The x-interval ``(lo, hi)`` where a horizontal segment meets a
+    closed ball (degenerate when tangent), or None: the segment cut to the
+    :func:`ball_chord` of its line."""
+    chord = ball_chord(ball, s.y)
+    if chord is None:
+        return None
+    lo, hi = max(s.left.x, chord[0]), min(s.right.x, chord[1])
+    return None if lo > hi else (lo, hi)
+
+
 class TestClip:
     def test_centered_ball_chord(self):
-        got = clip_segment_to_ball(UNIT, Ball((F(1, 2), 0), F(1, 4)))
+        got = clip(UNIT, Ball((F(1, 2), 0), F(1, 4)))
         assert got == (F(1, 4), F(3, 4))
 
     def test_pythagorean_chord_is_exact(self):
         # half-chord sqrt(1 - 9/25) = 4/5, so the clip stays rational
-        got = clip_segment_to_ball(UNIT, Ball((0, F(3, 5)), 1))
+        got = clip(UNIT, Ball((0, F(3, 5)), 1))
         assert got == (F(0), F(4, 5))
 
     def test_vertical_miss(self):
-        assert clip_segment_to_ball(UNIT, Ball((F(1, 2), 2), 1)) is None
+        assert clip(UNIT, Ball((F(1, 2), 2), 1)) is None
 
     def test_tangent_gives_degenerate_interval(self):
-        got = clip_segment_to_ball(UNIT, Ball((F(1, 2), 1), 1))
+        got = clip(UNIT, Ball((F(1, 2), 1), 1))
         assert got == (F(1, 2), F(1, 2))
 
     def test_clip_contained_in_both(self):
@@ -47,7 +58,7 @@ class TestClip:
             ball = Ball((F(rng.randrange(-8, 9), 4),
                          F(rng.randrange(-8, 9), 4)),
                         F(rng.randrange(1, 17), 4))
-            got = clip_segment_to_ball(s, ball)
+            got = clip(s, ball)
             if got is None:
                 continue
             lo, hi = got
