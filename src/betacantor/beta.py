@@ -18,19 +18,35 @@ outer direction search is a uniform grid of 180 angles refined by
 golden section around the best brackets and two analytic seeds (the exact
 L^2 line and the horizontal direction).
 
-Every coefficient, single or summed into a square function, scores its
-window through one core: an empty window gives 0; a collinear support
-(screened by the window's moments first) gives 0 on its line; p = 2 takes
-the closed-form smallest eigenvalue; any other p runs the search.  A
-square function asks the measure for all the windows of a point in one
-``unit_windows`` call.
+Every coefficient, single, over the radii of a point or summed into a
+square function, scores its windows through one core: an empty window
+gives 0; a collinear support (screened by the window's moments first)
+gives 0 on its line; p = 2 takes the closed-form smallest eigenvalue; any
+other p runs the search.  A square function asks the measure for all the
+windows of a point in one ``unit_windows`` call.
+
+The searches of those windows run together, in lock step: each stage (the
+coarse grid pass, the golden-section steps, the guard solves) is one set of
+numpy calls, with one row per (window, direction) holding the pieces of
+its window.  The rows are grouped by their exact piece count ``n``.  Steps
+piece by piece run on the pieces of every row at once, laid flat, and give
+each piece the value it gets in a search of its window alone.  Sums over
+the pieces of a row run once per piece count, over the C-contiguous
+``(rows, n)`` block of that count, because a row sum of such a block adds
+the same numbers in the same order whatever the number of rows.  Padding
+rows to one width, or ``np.add.reduceat`` over the ragged rows, would
+change the summation order and with it the last bits; grouping by ``n``
+keeps every result bit-identical to the search of the window alone.  The
+coarse pass, whose rows are 180 per window, runs one piece count at a time
+to keep its arrays small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -132,26 +148,77 @@ def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
 # inner problem: minimize over the line offset for fixed normal directions
 # ---------------------------------------------------------------------------
 
+class _Rows(NamedTuple):
+    """The pieces of one window per row, flattened row after row into
+    ``s, e, y, m`` (shaped ``(rows, n)`` when every row has ``n``).  Rows
+    of one piece count ``n`` are consecutive: ``blocks`` holds ``(start,
+    rows, n)`` for each run, whose pieces are the C-contiguous ``(rows,
+    n)`` stretch of the flat arrays at ``start``, and ``width`` holds the
+    piece count of every row."""
+
+    s: np.ndarray
+    e: np.ndarray
+    y: np.ndarray
+    m: np.ndarray
+    width: np.ndarray
+    blocks: Tuple[Tuple[int, int, int], ...]
+
+
+def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each run of equal consecutive values."""
+    cuts = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+    return list(zip(cuts, cuts[1:]))
+
+
+class _Pieces:
+    """The pieces of windows sorted by piece count, concatenated once; rows
+    of any of the windows are gathered from them."""
+
+    def __init__(self, windows: Sequence[Window]):
+        self.n = np.array([len(w.m) for w in windows])
+        self.start = np.cumsum(self.n) - self.n
+        self.flat = [np.concatenate([getattr(w, k) for w in windows])
+                     for k in "seym"]
+
+    def rows(self, owner: np.ndarray) -> _Rows:
+        """Row ``i`` holds the pieces of window ``owner[i]``; ``owner`` is
+        nondecreasing, so rows of one piece count are consecutive."""
+        width = self.n[owner]
+        end = np.cumsum(width)
+        first = end - width
+        blocks = tuple((int(first[a]), b - a, int(width[a]))
+                       for a, b in _runs(width))
+        if len(blocks) == 1:
+            index = self.start[owner][:, None] + np.arange(blocks[0][2])
+        else:
+            index = (np.arange(end[-1])
+                     + np.repeat(self.start[owner] - first, width))
+        return _Rows(*(a[index] for a in self.flat), width, blocks)
+
+
 class _Projection:
-    """Support of a window projected onto a family of normal directions.
+    """Support of windows projected onto normal directions, one direction
+    per row of ``rows`` (for one :class:`Window`, the window on every
+    row).
 
     For each direction the pieces become weighted intervals on the line,
     or point masses where the projected width vanishes (atoms, and
     segments orthogonal to the direction), for which the ``|u - c|^p``
-    moments have closed forms.
+    moments have closed forms.  Every piece-wise step runs on the flat
+    arrays at once; sums over the pieces of a row run block by block (see
+    the module docstring).
     """
 
-    __slots__ = ("ulo", "uhi", "lam", "umid", "pmass", "is_pt", "any_pt",
-                 "lo", "hi")
+    __slots__ = ("width", "blocks", "ulo", "uhi", "lam", "umid", "pmass",
+                 "is_pt", "any_pt", "lo", "hi")
 
-    def __init__(self, win: Window, phis: np.ndarray):
-        cos = np.cos(phis)[:, None]
-        sin = np.sin(phis)[:, None]
-        u1 = win.s[None, :] * cos + win.y[None, :] * sin
-        u2 = win.e[None, :] * cos + win.y[None, :] * sin
-        self.ulo = np.minimum(u1, u2)
-        self.uhi = np.maximum(u1, u2)
-        self.pmass = np.broadcast_to(win.m, self.ulo.shape)
+    def __init__(self, rows, phis: np.ndarray):
+        if isinstance(rows, Window):
+            rows = _Pieces([rows]).rows(np.zeros(len(phis), dtype=int))
+        self.width = rows.width
+        self.blocks = rows.blocks
+        self.ulo, self.uhi = self._ends(rows, phis)
+        self.pmass = rows.m
         du = self.uhi - self.ulo
         self.is_pt = du <= 1e-14
         self.any_pt = bool(self.is_pt.any())
@@ -159,32 +226,57 @@ class _Projection:
             self.lam = np.where(self.is_pt, 0.0,
                                 self.pmass / np.where(self.is_pt, 1.0, du))
         self.umid = 0.5 * (self.ulo + self.uhi)
-        self.lo = self.ulo.min(axis=1)
-        self.hi = self.uhi.max(axis=1)
+        self.lo = self._per_row(np.minimum, self.ulo)
+        self.hi = self._per_row(np.maximum, self.uhi)
+
+    def _ends(self, rows: _Rows, phis: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper projected end of every piece."""
+        cos = self._each(np.cos(phis))
+        ysin = rows.y * self._each(np.sin(phis))
+        u1 = rows.s * cos + ysin
+        u2 = rows.e * cos + ysin
+        return np.minimum(u1, u2), np.maximum(u1, u2)
+
+    def _each(self, v: np.ndarray) -> np.ndarray:
+        """A value per row against the pieces of the row: broadcast over
+        one ``(rows, n)`` block, repeated over flat pieces."""
+        if len(self.blocks) == 1:
+            return v[:, None]
+        return np.repeat(v, self.width)
+
+    def _per_row(self, ufunc: np.ufunc, flat: np.ndarray) -> np.ndarray:
+        """``ufunc`` reduced over the pieces of each row, one block at a
+        time, as rows of a C-contiguous ``(rows, n)`` array."""
+        flat = flat.reshape(-1)
+        return np.concatenate([
+            ufunc.reduce(flat[a:a + r * n].reshape(r, n), axis=1)
+            for a, r, n in self.blocks])
 
     def moment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Closed-form ``int |u - c|^p`` against the projected measure
         (the antiderivative of ``|u|^p`` is ``sign(u)|u|^{p+1}/(p+1)``)."""
         q = p + 1.0
-        vlo = self.ulo - c[:, None]
-        vhi = self.uhi - c[:, None]
+        c = self._each(c)
+        vlo = self.ulo - c
+        vhi = self.uhi - c
         cont = (np.sign(vhi) * _abs_pow(vhi, q)
                 - np.sign(vlo) * _abs_pow(vlo, q)) * (self.lam / q)
         if self.any_pt:
-            pts = self.pmass * _abs_pow(self.umid - c[:, None], p)
+            pts = self.pmass * _abs_pow(self.umid - c, p)
             cont = np.where(self.is_pt, pts, cont)
-        return cont.sum(axis=1)
+        return self._per_row(np.add, cont)
 
     def dmoment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Derivative of :meth:`moment` in ``c`` (nondecreasing in ``c``)."""
-        vlo = self.ulo - c[:, None]
-        vhi = self.uhi - c[:, None]
-        cont = (_abs_pow(vlo, p) - _abs_pow(vhi, p)) * self.lam
+        c = self._each(c)
+        cont = (_abs_pow(self.ulo - c, p)
+                - _abs_pow(self.uhi - c, p)) * self.lam
         if self.any_pt:
-            w = self.umid - c[:, None]
+            w = self.umid - c
             pts = (-p) * self.pmass * np.sign(w) * _abs_pow(w, p - 1.0)
             cont = np.where(self.is_pt, pts, cont)
-        return cont.sum(axis=1)
+        return self._per_row(np.add, cont)
 
     def minimize_offset(self, p: float, iters: int = C_BISECT_ITERS,
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,28 +324,42 @@ def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
 # outer search
 # ---------------------------------------------------------------------------
 
-def _golden_batch(win: Window, p: float, centers: np.ndarray, step: float,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lock-step golden-section refinement of several direction brackets
-    ``[center - step, center + step]``; one batched inner solve feeds every
-    bracket per iteration.  Returns per-bracket ``(phi, c, objective)`` and
-    the iteration count."""
+def _golden_steps(width: float) -> int:
+    """Golden-section steps that shrink a bracket of ``width`` to
+    ``PHI_TOL``."""
+    steps = 0
+    while width > PHI_TOL:
+        width *= _INV_GOLDEN
+        steps += 1
+    return steps
+
+
+#: every bracket is ``[center - step, center + step]`` with ``step =
+#: pi / PHI_GRID``, so its float width is ``2 step`` up to 2 ulp, far from a
+#: step boundary (31 steps leave 1.19e-8 > PHI_TOL, 32 leave 7.4e-9): one
+#: count serves every bracket
+_GOLDEN_STEPS = _golden_steps(2.0 * math.pi / PHI_GRID)
+
+
+def _golden(rows: _Rows, p: float, centers: np.ndarray, step: float,
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lock-step golden-section refinement of the direction brackets
+    ``[center - step, center + step]``, one per row of ``rows``; one
+    batched inner solve feeds every bracket per step.  Returns per-bracket
+    ``(phi, c, objective)``."""
     lo = centers - step
     hi = centers + step
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
-    c1, f1 = _Projection(win, x1).minimize_offset(p)
-    c2, f2 = _Projection(win, x2).minimize_offset(p)
-    iters = 0
-    width = float(hi[0] - lo[0])
-    while width > PHI_TOL:
-        iters += 1
+    c1, f1 = _Projection(rows, x1).minimize_offset(p)
+    c2, f2 = _Projection(rows, x2).minimize_offset(p)
+    for _ in range(_GOLDEN_STEPS):
         take1 = f1 <= f2  # keep the left subinterval
         hi = np.where(take1, x2, hi)
         lo = np.where(take1, lo, x1)
         probes = np.where(take1, hi - _INV_GOLDEN * (hi - lo),
                           lo + _INV_GOLDEN * (hi - lo))
-        cp, fp = _Projection(win, probes).minimize_offset(p)
+        cp, fp = _Projection(rows, probes).minimize_offset(p)
         # shift the surviving interior point, insert the probe
         x2n = np.where(take1, x1, probes)
         f2n = np.where(take1, f1, fp)
@@ -263,60 +369,93 @@ def _golden_batch(win: Window, p: float, centers: np.ndarray, step: float,
         c1n = np.where(take1, cp, c2)
         x1, f1, c1 = x1n, f1n, c1n
         x2, f2, c2 = x2n, f2n, c2n
-        width *= _INV_GOLDEN
     pick1 = f1 <= f2
-    phi = np.where(pick1, x1, x2)
-    cc = np.where(pick1, c1, c2)
-    ff = np.where(pick1, f1, f2)
-    return phi, cc, ff, iters
+    return (np.where(pick1, x1, x2), np.where(pick1, c1, c2),
+            np.where(pick1, f1, f2))
 
 
-def best_line_search_window(win: Window, p: float,
-                            ) -> Tuple[float, float, float, int]:
-    """General-``p`` minimizer: rank the uniform direction grid with a
-    coarse inner pass, then refine the three best brackets plus the two
-    analytic seeds by batched golden section with fully converged inner
-    solves.  Returns ``(phi, c, objective, iterations)``.
-    """
-    if win.mass <= 0.0:
-        raise EmptyBallError("zero clipped mass")
-    phis = np.arange(PHI_GRID) * (math.pi / PHI_GRID)
-    _, objs = _Projection(win, phis).minimize_offset(p, C_BISECT_COARSE)
-    iterations = PHI_GRID * C_BISECT_COARSE
-
-    step = math.pi / PHI_GRID
-    centers = [float(phis[i]) for i in np.argsort(objs)[:3]]
+def _brackets(win: Window, grid: np.ndarray, objs: np.ndarray,
+              step: float) -> List[float]:
+    """Bracket centers of one window: its three best grid directions, the
+    exact L^2 direction and the horizontal one, near-duplicates dropped."""
+    centers = [float(grid[i]) for i in np.argsort(objs)[:3]]
     try:
         phi2, _, _ = best_line_p2_window(win)
         centers.append(phi2)
     except EmptyBallError:
         pass
     centers.append(math.pi / 2)
-    # drop near-duplicate brackets
     dedup: List[float] = []
     for c in centers:
         if all(min(abs(c - d), math.pi - abs(c - d)) > step / 2
                for d in dedup):
             dedup.append(c)
+    return dedup
 
-    bphi, bc, bobj, giters = _golden_batch(win, p, np.array(dedup), step)
-    iterations += giters * len(dedup) * C_BISECT_ITERS
+
+def _search(windows: Sequence[Window], p: float,
+            ) -> List[Tuple[float, float, float, int]]:
+    """General-``p`` minimizer of each window, ``(phi, c, objective,
+    iterations)`` in order: rank the uniform direction grid with a coarse
+    inner pass, then refine the three best brackets plus the two analytic
+    seeds by golden section with fully converged inner solves.  The
+    windows run in lock step, as the module docstring sets out."""
+    if not windows:
+        return []
+    order = sorted(range(len(windows)), key=lambda i: len(windows[i].m))
+    wins = [windows[i] for i in order]
+    pieces = _Pieces(wins)
+    grid = np.arange(PHI_GRID) * (math.pi / PHI_GRID)
+    objs = []
+    for a, b in _runs(pieces.n):
+        # no name holds the rows or the projection past its own pass
+        _, found = _Projection(
+            pieces.rows(np.repeat(np.arange(a, b), PHI_GRID)),
+            np.tile(grid, b - a)).minimize_offset(p, C_BISECT_COARSE)
+        objs.extend(found.reshape(b - a, PHI_GRID))
+
+    step = math.pi / PHI_GRID
+    brackets = [_brackets(win, grid, o, step) for win, o in zip(wins, objs)]
+    counts = [len(b) for b in brackets]
+    centers = np.array([c for b in brackets for c in b])
+    rows = pieces.rows(np.repeat(np.arange(len(wins)), counts))
+    bphi, bc, bobj = _golden(rows, p, centers, step)
     # fully converged solves at the bracket centers guard the coarse pass
-    ccs, cobjs = _Projection(win, np.array(dedup)).minimize_offset(p)
-    iterations += len(dedup) * C_BISECT_ITERS
-    best_i = int(np.argmin(bobj))
-    phi, c, obj = float(bphi[best_i]), float(bc[best_i]), float(bobj[best_i])
-    ci = int(np.argmin(cobjs))
-    if cobjs[ci] < obj:
-        phi, c, obj = float(dedup[ci]), float(ccs[ci]), float(cobjs[ci])
-    # fold the angle into [0, pi); rotating the normal by pi flips the offset
-    while phi < 0:
-        phi += math.pi
-        c = -c
-    while phi >= math.pi:
-        phi -= math.pi
-        c = -c
-    return phi, c, obj, iterations
+    ccs, cobjs = _Projection(rows, centers).minimize_offset(p)
+
+    out: List = [None] * len(windows)
+    start = 0
+    for i, count in zip(order, counts):
+        sl = slice(start, start + count)
+        start += count
+        best_i = int(np.argmin(bobj[sl]))
+        phi, c, obj = (float(bphi[sl][best_i]), float(bc[sl][best_i]),
+                       float(bobj[sl][best_i]))
+        ci = int(np.argmin(cobjs[sl]))
+        if cobjs[sl][ci] < obj:
+            phi, c, obj = (float(centers[sl][ci]), float(ccs[sl][ci]),
+                           float(cobjs[sl][ci]))
+        # fold the angle into [0, pi); rotating the normal by pi flips the
+        # offset
+        while phi < 0:
+            phi += math.pi
+            c = -c
+        while phi >= math.pi:
+            phi -= math.pi
+            c = -c
+        iterations = (PHI_GRID * C_BISECT_COARSE
+                      + (_GOLDEN_STEPS + 1) * count * C_BISECT_ITERS)
+        out[i] = (phi, c, obj, iterations)
+    return out
+
+
+def best_line_search_window(win: Window, p: float,
+                            ) -> Tuple[float, float, float, int]:
+    """General-``p`` minimizer of one window, the batch of one of
+    :func:`_search`.  Returns ``(phi, c, objective, iterations)``."""
+    if win.mass <= 0.0:
+        raise EmptyBallError("zero clipped mass")
+    return _search([win], p)[0]
 
 
 def _map_line_back(phi: float, c: float, x, r) -> Line:
@@ -328,26 +467,48 @@ def _map_line_back(phi: float, c: float, x, r) -> Line:
 # public evaluation entry points
 # ---------------------------------------------------------------------------
 
-def _best_line(win: Window, p: float) -> Tuple[float, float, float, int]:
+def _best_lines(windows: Iterable[Window], p: float,
+                ) -> List[Tuple[float, float, float, int]]:
     """The one core behind every coefficient: ``(objective, phi, c,
-    iterations)`` of the best line in rescaled coordinates, where the
-    objective is ``int dist^p`` over the window.  An empty window scores 0
-    (on the horizontal line through the center), a collinear support 0 on
-    its line; otherwise p = 2 takes the closed form and any other p the
-    search."""
+    iterations)`` of the best line of each window in rescaled coordinates,
+    in order, where the objective is ``int dist^p`` over the window.
+
+    Each window is scored as it arrives: an empty window scores 0 (on the
+    horizontal line through the center), a collinear support 0 on its
+    line, and at p = 2 the closed form is taken.  Only the windows left
+    for the general-``p`` search are held, and they are searched together
+    by :func:`_search` once ``windows`` is exhausted."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if win.mass <= 0.0:
-        return 0.0, math.pi / 2, 0.0, 0
-    line = win.collinear_line()
-    if line is not None:
-        return 0.0, line.phi, line.c, 0
-    if p == 2.0:
-        phi, c, obj = best_line_p2_window(win)
-        iters = 0
-    else:
-        phi, c, obj, iters = best_line_search_window(win, p)
-    return max(0.0, obj), phi, c, iters
+    out: List = []
+    held: List[Tuple[int, Window]] = []
+    for win in windows:
+        if win.mass <= 0.0:
+            out.append((0.0, math.pi / 2, 0.0, 0))
+            continue
+        line = win.collinear_line()
+        if line is not None:
+            out.append((0.0, line.phi, line.c, 0))
+        elif p == 2.0:
+            phi, c, obj = best_line_p2_window(win)
+            out.append((max(0.0, obj), phi, c, 0))
+        else:
+            held.append((len(out), win))
+            out.append(None)
+    found = _search([win for _, win in held], p)
+    for (i, _), (phi, c, obj, iters) in zip(held, found):
+        out[i] = (max(0.0, obj), phi, c, iters)
+    return out
+
+
+def _noting(windows: Iterable[Window], note: Callable[[Window], object],
+            into: list) -> Iterator[Window]:
+    """Pass ``windows`` through, appending ``note(win)`` of each to
+    ``into``: what a caller needs of a window once :func:`_best_lines` has
+    let it go."""
+    for win in windows:
+        into.append(note(win))
+        yield win
 
 
 def _values(obj: float, mass: float, p: float,
@@ -356,6 +517,29 @@ def _values(obj: float, mass: float, p: float,
     is None on an empty window."""
     tilde = (obj / mass) ** (1.0 / p) if mass > 0.0 else None
     return obj ** (1.0 / p), tilde
+
+
+def beta_both_radii(mu: AnyMeasure, x, radii: Sequence[Scalar],
+                    p: float = 2.0,
+                    ) -> List[Tuple[BetaResult, Optional[BetaResult]]]:
+    """:func:`beta_both` at each radius of ``radii`` around one point, from
+    one ``unit_windows`` call and one batched search."""
+    radii = [to_fraction(r) for r in radii]
+    if any(r <= 0 for r in radii):
+        raise ValueError("radius must be positive")
+    facts: List[Tuple[float, int, int]] = []
+    windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]), radii)
+    lines = _best_lines(_noting(
+        windows, lambda w: (w.mass, w.n_segments, w.n_atoms), facts), p)
+    out = []
+    for r, (mass, segments, atoms), (obj, phi, c, iters) in zip(
+            radii, facts, lines):
+        value, tilde = _values(obj, mass, p)
+        b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
+                       mass * float(r), segments, atoms, iters)
+        out.append((b, None if tilde is None
+                    else replace(b, value=tilde, variant="betaTilde")))
+    return out
 
 
 def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
@@ -367,14 +551,7 @@ def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
     is None on a ball of zero mass (the radius-normalized one vanishes
     there).
     """
-    win = build_window(mu, x, r)
-    obj, phi, c, iters = _best_line(win, p)
-    value, tilde = _values(obj, win.mass, p)
-    b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
-                   win.mass * float(r), win.n_segments, win.n_atoms, iters)
-    if tilde is None:
-        return b, None
-    return b, replace(b, value=tilde, variant="betaTilde")
+    return beta_both_radii(mu, x, [r], p)[0]
 
 
 def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
@@ -410,15 +587,17 @@ def _sum_squares(mu: AnyMeasure, x, p: float,
                  ) -> Tuple[float, float]:
     """``sum value(r)^2 * weight`` over ``(r, weight)`` scales for both
     variants: ``(beta_sum, betaTilde_sum)``, from one ``unit_windows`` call
-    and one :func:`_best_line` per window.  Mass-normalized terms of empty
-    balls contribute 0 and are counted in ``details.empty_balls``."""
+    and one :func:`_best_lines` over its windows.  Mass-normalized terms of
+    empty balls contribute 0 and are counted in ``details.empty_balls``."""
     scales = list(scales)
+    masses: List[float] = []
     windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]),
                               [r for r, _ in scales])
+    lines = _best_lines(_noting(windows, lambda w: w.mass, masses), p)
     total_b = 0.0
     total_t = 0.0
-    for (_, weight), win in zip(scales, windows):
-        b, t = _values(_best_line(win, p)[0], win.mass, p)
+    for (_, weight), mass, (obj, _, _, _) in zip(scales, masses, lines):
+        b, t = _values(obj, mass, p)
         total_b += b * b * weight
         if t is not None:
             total_t += t * t * weight
@@ -477,8 +656,5 @@ def beta_lower_bound_probe(mu: CantorMeasure, x, k: int, p: float,
     if mu.gen < k:
         raise ValueError("measure generation must be at least k")
     h_k = float(sched.h_of(k))
-    vals = []
-    for i in range(n_radii):
-        r = 2.0 * h_k * (2.0 ** (i / (n_radii - 1)))
-        vals.append(beta(mu, x, r, p).value)
-    return min(vals)
+    radii = [2.0 * h_k * (2.0 ** (i / (n_radii - 1))) for i in range(n_radii)]
+    return min(b.value for b, _ in beta_both_radii(mu, x, radii, p))

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import svgfig
-from .beta import (ScaleGrid, SquareFunctionDetails, beta_both,
+from .beta import (ScaleGrid, SquareFunctionDetails, beta_both_radii,
                    increment_pair, square_function)
 from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
@@ -362,8 +362,8 @@ def cmd_beta(cfg: ExperimentConfig) -> int:
         x, y = float(pt.x), float(pt.y)
         for p in cfg.p:
             vals = []
-            for r in radii:
-                both = beta_both(mu, (pt.x, pt.y), r, p)
+            for r, both in zip(radii,
+                               beta_both_radii(mu, (pt.x, pt.y), radii, p)):
                 vals.append(both[0].value)
                 for variant, res in zip(VARIANTS, both):
                     if res is None:

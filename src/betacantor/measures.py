@@ -393,22 +393,27 @@ AnyMeasure = Union[SegmentMeasure, AtomicMeasure, "CantorMeasure"]
 def atomize(mu: SegmentMeasure, spacing: Scalar) -> AtomicMeasure:
     """Split each segment into equal-mass atoms at sub-interval midpoints.
 
-    The per-segment atom count is chosen so that the atom spacing is
-    strictly below ``spacing``.  Atom positions and masses stay rational.
+    The per-segment atom count ``n`` is chosen so that the atom spacing is
+    strictly below ``spacing``.  Atom positions and masses stay rational:
+    atom ``i`` sits at ``left + length (2i + 1) / (2n)``, built from
+    integer numerators over one denominator per segment.
     """
     spacing = to_fraction(spacing)
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     atoms: List[Tuple[Fraction, Fraction, Fraction]] = []
     for seg in mu.segments:
-        n = max(1, int(math.ceil(seg.length / spacing)))
-        if Fraction(seg.length, n) >= spacing:
+        length = seg.length
+        n = max(1, int(math.ceil(length / spacing)))
+        if Fraction(length, n) >= spacing:
             n += 1
-        step = Fraction(seg.length, n)
         m = Fraction(seg.mass, n)
-        for i in range(n):
-            x = seg.left.x + step * i + step / 2
-            atoms.append((x, seg.y, m))
+        left = seg.left.x
+        den = 2 * n * left.denominator * length.denominator
+        base = 2 * n * left.numerator * length.denominator
+        unit = length.numerator * left.denominator
+        atoms.extend((Fraction(base + unit * (2 * i + 1), den), seg.y, m)
+                     for i in range(n))
     return AtomicMeasure(atoms)
 
 

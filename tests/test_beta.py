@@ -14,8 +14,12 @@ from betacantor import (AtomicMeasure, CantorMeasure, EmptyBallError,
                         WeightedSegment, beta, beta_both, point_of,
                         sample_address, schedule_tame, schedule_thm11,
                         square_function)
-from betacantor.beta import (SquareFunctionDetails, best_line_p2_window,
+from betacantor.beta import (C_BISECT_COARSE, C_BISECT_ITERS, PHI_GRID,
+                             _GOLDEN_STEPS, SquareFunctionDetails, _abs_pow,
+                             _best_lines, _golden_steps, _Pieces,
+                             _Projection, best_line_p2_window,
                              best_line_search_window, build_window)
+from betacantor.measures import Window
 
 FOUR_ATOMS = AtomicMeasure([(-1, 0, 1), (1, 0, 1), (-1, F(1, 5), 1),
                             (1, F(1, 5), 1)])
@@ -246,6 +250,96 @@ class TestBestLineSearch:
             assert got <= best + 1e-9
 
 
+def mixed_windows(rng):
+    """Windows of several piece counts (some shared, so a piece-count group
+    holds many windows), mixing segments and atoms, plus an empty window,
+    a horizontal segment row and slanted collinear atoms."""
+    wins = []
+    for n in (2, 2, 2, 3, 5, 5, 9, 9, 9, 9, 24, 61):
+        s = np.array([rng.uniform(-0.8, 0.5) for _ in range(n)])
+        length = np.array([rng.choice([0.0, rng.uniform(0.01, 0.4)])
+                           for _ in range(n)])
+        y = np.array([rng.uniform(-0.6, 0.6) for _ in range(n)])
+        m = np.array([rng.uniform(0.05, 2.0) for _ in range(n)])
+        wins.append(Window(s, s + length, y, m))
+    wins.insert(3, Window([], [], [], []))
+    wins.insert(7, Window([-0.5, 0.1], [-0.2, 0.6], [0.25, 0.25], [1, 2]))
+    xs = np.array([-0.6, -0.1, 0.2, 0.45])
+    wins.insert(10, Window(xs, xs, 0.75 * xs - 0.1, [1.0, 0.5, 2.0, 1.0]))
+    return wins
+
+
+def window_moments(win, phis, c, p):
+    """Reference ``(moment, dmoment)`` of one window over ``(rows, n)``
+    arrays, one direction and offset per row, each summed by
+    ``ndarray.sum(axis=1)``: the one-window formulas of ``_Projection``."""
+    cos, sin = np.cos(phis)[:, None], np.sin(phis)[:, None]
+    u1 = win.s * cos + win.y * sin
+    u2 = win.e * cos + win.y * sin
+    ulo, uhi = np.minimum(u1, u2), np.maximum(u1, u2)
+    mass = np.broadcast_to(win.m, ulo.shape)
+    is_pt = uhi - ulo <= 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(is_pt, 0.0, mass / np.where(is_pt, 1.0, uhi - ulo))
+    c = c[:, None]
+    vlo, vhi, w = ulo - c, uhi - c, 0.5 * (ulo + uhi) - c
+    q = p + 1.0
+    mom = (np.sign(vhi) * _abs_pow(vhi, q)
+           - np.sign(vlo) * _abs_pow(vlo, q)) * (lam / q)
+    mom = np.where(is_pt, mass * _abs_pow(w, p), mom)
+    dmom = (_abs_pow(vlo, p) - _abs_pow(vhi, p)) * lam
+    dmom = np.where(is_pt, (-p) * mass * np.sign(w) * _abs_pow(w, p - 1.0),
+                    dmom)
+    return mom.sum(axis=1), dmom.sum(axis=1)
+
+
+class TestBatchedSearch:
+    """Windows scored together by ``_best_lines`` get, bit for bit, the
+    ``(objective, phi, c, iterations)`` each gets alone."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_projection_rows_sum_as_one_window(self, p):
+        # rows of many windows and piece counts, laid flat, against the
+        # (rows, n) sums of each window alone
+        rng = random.Random(89)
+        wins = sorted((w for w in mixed_windows(rng) if len(w.m)),
+                      key=lambda w: len(w.m))
+        owner = np.repeat(np.arange(len(wins)), 7)
+        phis = np.array([rng.choice([rng.uniform(0, math.pi), math.pi / 2])
+                         for _ in owner])
+        c = np.array([rng.uniform(-1, 1) for _ in owner])
+        prj = _Projection(_Pieces(wins).rows(owner), phis)
+        assert len(prj.blocks) > 1
+        got = prj.moment(c, p), prj.dmoment(c, p)
+        for k, win in enumerate(wins):
+            rows = owner == k
+            want = window_moments(win, phis[rows], c[rows], p)
+            assert got[0][rows].tolist() == want[0].tolist()
+            assert got[1][rows].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_mixed_batch_matches_one_window(self, p):
+        wins = mixed_windows(random.Random(83))
+        got = _best_lines(iter(wins), p)
+        assert got == [_best_lines([win], p)[0] for win in wins]
+        searched = [res for res in got if res[3] > 0]
+        # the empty window and the two collinear ones skip the search
+        assert len(searched) == len(wins) - 3
+        assert [res[0] for res in got if res[3] == 0] == [0.0] * 3
+        # grid pass, then 1 to 5 brackets of golden steps plus a guard solve
+        assert {(res[3] - PHI_GRID * C_BISECT_COARSE)
+                % ((_GOLDEN_STEPS + 1) * C_BISECT_ITERS)
+                for res in searched} == {0}
+
+    def test_one_golden_count_serves_every_bracket(self):
+        step = math.pi / PHI_GRID
+        rng = random.Random(3)
+        centers = ([i * step for i in range(-1, PHI_GRID + 1)]
+                   + [rng.uniform(0, math.pi) for _ in range(2000)])
+        assert {_golden_steps((c + step) - (c - step))
+                for c in centers} == {_GOLDEN_STEPS}
+
+
 class TestScaleInvariance:
     def test_similarity_rescale(self):
         rng = random.Random(41)
@@ -376,17 +470,29 @@ class TestSquareFunction:
             assert 0 < t <= 10 * (float(sched.h_of(2)) + ref)
 
 
+#: measures and centers of the bit-for-bit square-function checks; the
+#: last center of each sits off the support
+SQFN_CASES = [
+    (lambda rng: random_atoms(rng, 400),
+     [(0.1, 0.2), (-0.7, 0.3), (1.6, 1.6)]),
+    (lambda rng: random_segments(rng, 12),
+     [(0.0, 0.0), (0.3, -0.2), (3.0, 3.0)]),
+    (lambda rng: CantorMeasure(schedule_tame(2), 2),
+     [(F(1, 2), 0), (F(1, 5), F(1, 64)), (2.0, 1.0)]),
+]
+
+
 class TestSquareFunctionP2:
-    """At p = 2 the square function scores the windows of one
-    ``unit_windows`` call; it must equal, bit for bit, the sum over one
-    ``beta_both`` per scale."""
+    """The square function scores the windows of one ``unit_windows`` call
+    (at p = 2 by the closed form, at other p by one batched search); it
+    must equal, bit for bit, the sum over one ``beta_both`` per scale."""
 
     @staticmethod
-    def per_scale(mu, x, grid):
+    def per_scale(mu, x, grid, p=2.0):
         sums = [0.0, 0.0]
         empty = 0
         for r in grid.radii():
-            b, t = beta_both(mu, x, r, 2.0)
+            b, t = beta_both(mu, x, r, p)
             sums[0] += b.value * b.value * grid.log_weight
             if t is None:
                 empty += 1
@@ -394,14 +500,7 @@ class TestSquareFunctionP2:
                 sums[1] += t.value * t.value * grid.log_weight
         return tuple(sums), empty
 
-    @pytest.mark.parametrize("make, centers", [
-        (lambda rng: random_atoms(rng, 400),
-         [(0.1, 0.2), (-0.7, 0.3), (1.6, 1.6)]),
-        (lambda rng: random_segments(rng, 12),
-         [(0.0, 0.0), (0.3, -0.2), (3.0, 3.0)]),
-        (lambda rng: CantorMeasure(schedule_tame(2), 2),
-         [(F(1, 2), 0), (F(1, 5), F(1, 64)), (2.0, 1.0)]),
-    ])
+    @pytest.mark.parametrize("make, centers", SQFN_CASES)
     def test_matches_beta_both_per_scale(self, make, centers):
         rng = random.Random(47)
         mu = make(rng)
@@ -413,6 +512,20 @@ class TestSquareFunctionP2:
             assert got == want
             assert det.empty_balls == empty
         assert empty > 0  # the last center sits off the support
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("make, centers", SQFN_CASES)
+    def test_general_p_matches_beta_both_per_scale(self, make, centers, p):
+        rng = random.Random(47)
+        mu = make(rng)
+        grid = ScaleGrid(1e-2, 1.0, 0.5)
+        for x in centers:
+            det = SquareFunctionDetails()
+            got = square_function(mu, x, p, grid, det)
+            want, empty = self.per_scale(mu, x, grid, p)
+            assert got == want
+            assert det.empty_balls == empty
+        assert empty > 0
 
     def test_collinear_atoms_vanish_at_every_scale(self):
         # the two cases of acceptance 2 on atoms: a horizontal row, and

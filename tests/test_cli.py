@@ -218,20 +218,21 @@ class TestOneSearchPerCoefficient:
             "--r-max", "0.5", "--lambda", "0.5"]
 
     def counted_run(self, monkeypatch, tmp_path, command):
-        """Run ``command``; return the core evaluations and the general-p
-        searches, each per (generation, point, radius, p), and one
-        (generation, point, radii) entry per ``CantorMeasure.unit_windows``
-        call."""
+        """Run ``command``; check the windows that enter the batched
+        general-p search, and return the windows scored by the core, per
+        (generation, point, radius, p), and one (generation, point, radii)
+        entry per ``CantorMeasure.unit_windows`` call."""
         # the package namespace shadows the module with the function beta
         module = importlib.import_module("betacantor.beta")
-        core = module._best_line
-        search = module.best_line_search_window
+        core = module._best_lines
+        search = module._search
         unit_windows = CantorMeasure.unit_windows
         tags = {}   # id(window) -> (generation, x, y, r)
         alive = []  # the tagged windows, so that no id is reused
         windows = []
         cores = []
         searches = []
+        batches = []
 
         def tagging(mu, cx, cy, radii):
             windows.append((mu.gen, float(cx), float(cy), len(radii)))
@@ -240,25 +241,37 @@ class TestOneSearchPerCoefficient:
                 alive.append(win)
                 yield win
 
-        def counting_core(win, p):
-            cores.append((*tags[id(win)], p))
-            return core(win, p)
+        def counting_core(wins, p):
+            def counted():
+                for win in wins:
+                    cores.append((*tags[id(win)], p))
+                    yield win
+            return core(counted(), p)
 
-        def counting_search(win, p):
-            searches.append((*tags[id(win)], p))
-            return search(win, p)
+        def counting_search(wins, p):
+            keys = [(*tags[id(win)], p) for win in wins]
+            # a collinear window is scored 0 on its line, never searched
+            assert all(win.collinear_line() is None for win in wins)
+            searches.extend(keys)
+            batches.append({(g, x, y, p) for g, x, y, _, p in keys})
+            return search(wins, p)
 
         monkeypatch.setattr(CantorMeasure, "unit_windows", tagging)
-        monkeypatch.setattr(module, "_best_line", counting_core)
-        monkeypatch.setattr(module, "best_line_search_window",
-                            counting_search)
+        monkeypatch.setattr(module, "_best_lines", counting_core)
+        monkeypatch.setattr(module, "_search", counting_search)
         assert run(*self.ARGS, "--out", str(tmp_path / command),
                    command) == 0
         cores, searches = Counter(cores), Counter(searches)
-        # a search runs at most once per coefficient, only at p = 1.5 (p = 2
-        # takes the closed form), and not on a collinear window
+        # a window enters the search at most once, only at p = 1.5 (p = 2
+        # takes the closed form), and all the searched windows of one point
+        # and exponent enter in one batch
         assert set(searches.values()) == {1}
         assert set(searches) <= {key for key in cores if key[-1] == 1.5}
+        assert {p for *_, p in searches} == {1.5}
+        batches = [batch for batch in batches if batch]
+        assert all(len(batch) == 1 for batch in batches)
+        assert len(batches) == len({(g, x, y, p)
+                                    for g, x, y, _, p in searches})
         return cores, windows
 
     @staticmethod
@@ -271,11 +284,12 @@ class TestOneSearchPerCoefficient:
 
     def test_beta_searches_once_per_point_p_radius(self, monkeypatch,
                                                    tmp_path):
-        # one single-radius window per coefficient
+        # one unit_windows call per point and exponent, over the 6 grid
+        # radii
         cores, windows = self.counted_run(monkeypatch, tmp_path, "beta")
         assert set(cores.values()) == {1}
         assert sum(cores.values()) == 2 * 2 * 6
-        assert self.per_point(windows) == [[1] * (2 * 6)] * 2
+        assert self.per_point(windows) == [[6, 6]] * 2
 
     def test_sqfn_searches_once_per_point_p_radius(self, monkeypatch,
                                                    tmp_path):

@@ -357,6 +357,31 @@ class TestStructure:
         gaps = [b - a for a, b in zip(xs, xs[1:])]
         assert max(gaps) < F(1, 16)
 
+    def test_atomize_matches_midpoint_chain(self):
+        # oracle: the sub-interval midpoints as one Fraction chain per atom,
+        # on dyadic, non-dyadic and negative segments
+        rng = random.Random(11)
+        segs = [WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1),
+                WeightedSegment(RationalPoint(F(-3, 7), F(1, 3)),
+                                RationalPoint(F(2, 9), F(1, 3)), F(5, 11))]
+        for _ in range(8):
+            x0 = F(rng.randrange(-50, 50), rng.randrange(1, 40))
+            x1 = x0 + F(rng.randrange(1, 60), rng.randrange(1, 30))
+            y = F(rng.randrange(-9, 9), 13)
+            segs.append(WeightedSegment(
+                RationalPoint(x0, y), RationalPoint(x1, y),
+                F(rng.randrange(1, 30), rng.randrange(1, 17))))
+        spacing = F(2, 45)
+        want = []
+        for seg in segs:
+            n = int(seg.length // spacing) + 1  # fewest steps below spacing
+            step = seg.length / n
+            want += [(seg.left.x + step * i + step / 2, seg.y, seg.mass / n)
+                     for i in range(n)]
+        got = atomize(SegmentMeasure(segs), spacing).atoms
+        assert got == tuple(want)
+        assert all(isinstance(v, F) for atom in got for v in atom)
+
 
 class TestSerialization:
     def test_segment_roundtrip_exact(self):
