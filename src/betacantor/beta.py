@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -150,11 +150,10 @@ def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
 
 class _Rows(NamedTuple):
     """The pieces of one window per row, flattened row after row into
-    ``s, e, y, m`` (shaped ``(rows, n)`` when every row has ``n``).  Rows
-    of one piece count ``n`` are consecutive: ``blocks`` holds ``(start,
-    rows, n)`` for each run, whose pieces are the C-contiguous ``(rows,
-    n)`` stretch of the flat arrays at ``start``, and ``width`` holds the
-    piece count of every row."""
+    ``s, e, y, m``.  Rows of one piece count ``n`` are consecutive:
+    ``blocks`` holds ``(start, rows, n)`` for each run, whose pieces are the
+    C-contiguous ``(rows, n)`` stretch of the flat arrays at ``start``, and
+    ``width`` holds the piece count of every row."""
 
     s: np.ndarray
     e: np.ndarray
@@ -188,11 +187,8 @@ class _Pieces:
         first = end - width
         blocks = tuple((int(first[a]), b - a, int(width[a]))
                        for a, b in _runs(width))
-        if len(blocks) == 1:
-            index = self.start[owner][:, None] + np.arange(blocks[0][2])
-        else:
-            index = (np.arange(end[-1])
-                     + np.repeat(self.start[owner] - first, width))
+        index = np.arange(end[-1]) + np.repeat(self.start[owner] - first,
+                                               width)
         return _Rows(*(a[index] for a in self.flat), width, blocks)
 
 
@@ -206,7 +202,9 @@ class _Projection:
     segments orthogonal to the direction), for which the ``|u - c|^p``
     moments have closed forms.  Every piece-wise step runs on the flat
     arrays at once; sums over the pieces of a row run block by block (see
-    the module docstring).
+    the module docstring).  Piece arrays are combined in place where that
+    keeps fewer of them alive: the coarse pass holds 180 rows per window,
+    and its peak sets the memory of the search.
     """
 
     __slots__ = ("width", "blocks", "ulo", "uhi", "lam", "umid", "pmass",
@@ -217,7 +215,16 @@ class _Projection:
             rows = _Pieces([rows]).rows(np.zeros(len(phis), dtype=int))
         self.width = rows.width
         self.blocks = rows.blocks
-        self.ulo, self.uhi = self._ends(rows, phis)
+        cos = np.repeat(np.cos(phis), rows.width)
+        ysin = np.repeat(np.sin(phis), rows.width)
+        ysin *= rows.y
+        u1 = rows.s * cos
+        u1 += ysin
+        u2 = np.multiply(rows.e, cos, out=cos)
+        u2 += ysin
+        del cos, ysin
+        self.ulo = np.minimum(u1, u2)
+        self.uhi = np.maximum(u1, u2, out=u1)
         self.pmass = rows.m
         du = self.uhi - self.ulo
         self.is_pt = du <= 1e-14
@@ -229,26 +236,9 @@ class _Projection:
         self.lo = self._per_row(np.minimum, self.ulo)
         self.hi = self._per_row(np.maximum, self.uhi)
 
-    def _ends(self, rows: _Rows, phis: np.ndarray,
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """The lower and the upper projected end of every piece."""
-        cos = self._each(np.cos(phis))
-        ysin = rows.y * self._each(np.sin(phis))
-        u1 = rows.s * cos + ysin
-        u2 = rows.e * cos + ysin
-        return np.minimum(u1, u2), np.maximum(u1, u2)
-
-    def _each(self, v: np.ndarray) -> np.ndarray:
-        """A value per row against the pieces of the row: broadcast over
-        one ``(rows, n)`` block, repeated over flat pieces."""
-        if len(self.blocks) == 1:
-            return v[:, None]
-        return np.repeat(v, self.width)
-
     def _per_row(self, ufunc: np.ufunc, flat: np.ndarray) -> np.ndarray:
         """``ufunc`` reduced over the pieces of each row, one block at a
         time, as rows of a C-contiguous ``(rows, n)`` array."""
-        flat = flat.reshape(-1)
         return np.concatenate([
             ufunc.reduce(flat[a:a + r * n].reshape(r, n), axis=1)
             for a, r, n in self.blocks])
@@ -257,25 +247,27 @@ class _Projection:
         """Closed-form ``int |u - c|^p`` against the projected measure
         (the antiderivative of ``|u|^p`` is ``sign(u)|u|^{p+1}/(p+1)``)."""
         q = p + 1.0
-        c = self._each(c)
-        vlo = self.ulo - c
-        vhi = self.uhi - c
-        cont = (np.sign(vhi) * _abs_pow(vhi, q)
-                - np.sign(vlo) * _abs_pow(vlo, q)) * (self.lam / q)
+        c = np.repeat(c, self.width)
+        v = self.uhi - c
+        cont = np.sign(v) * _abs_pow(v, q)
+        v = self.ulo - c
+        cont -= np.sign(v) * _abs_pow(v, q)
+        cont *= self.lam / q
         if self.any_pt:
-            pts = self.pmass * _abs_pow(self.umid - c, p)
-            cont = np.where(self.is_pt, pts, cont)
+            np.copyto(cont, self.pmass * _abs_pow(self.umid - c, p),
+                      where=self.is_pt)
         return self._per_row(np.add, cont)
 
     def dmoment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Derivative of :meth:`moment` in ``c`` (nondecreasing in ``c``)."""
-        c = self._each(c)
-        cont = (_abs_pow(self.ulo - c, p)
-                - _abs_pow(self.uhi - c, p)) * self.lam
+        c = np.repeat(c, self.width)
+        cont = _abs_pow(self.ulo - c, p)
+        cont -= _abs_pow(self.uhi - c, p)
+        cont *= self.lam
         if self.any_pt:
             w = self.umid - c
-            pts = (-p) * self.pmass * np.sign(w) * _abs_pow(w, p - 1.0)
-            cont = np.where(self.is_pt, pts, cont)
+            np.copyto(cont, (-p) * self.pmass * np.sign(w)
+                      * _abs_pow(w, p - 1.0), where=self.is_pt)
         return self._per_row(np.add, cont)
 
     def minimize_offset(self, p: float, iters: int = C_BISECT_ITERS,
@@ -468,10 +460,11 @@ def _map_line_back(phi: float, c: float, x, r) -> Line:
 # ---------------------------------------------------------------------------
 
 def _best_lines(windows: Iterable[Window], p: float,
-                ) -> List[Tuple[float, float, float, int]]:
+                ) -> List[Tuple[float, float, float, int, float, int, int]]:
     """The one core behind every coefficient: ``(objective, phi, c,
     iterations)`` of the best line of each window in rescaled coordinates,
-    in order, where the objective is ``int dist^p`` over the window.
+    in order, where the objective is ``int dist^p`` over the window,
+    followed by the window's ``(mass, n_segments, n_atoms)``.
 
     Each window is scored as it arrives: an empty window scores 0 (on the
     horizontal line through the center), a collinear support 0 on its
@@ -483,32 +476,23 @@ def _best_lines(windows: Iterable[Window], p: float,
     out: List = []
     held: List[Tuple[int, Window]] = []
     for win in windows:
+        facts = (win.mass, win.n_segments, win.n_atoms)
         if win.mass <= 0.0:
-            out.append((0.0, math.pi / 2, 0.0, 0))
+            out.append((0.0, math.pi / 2, 0.0, 0, *facts))
             continue
         line = win.collinear_line()
         if line is not None:
-            out.append((0.0, line.phi, line.c, 0))
+            out.append((0.0, line.phi, line.c, 0, *facts))
         elif p == 2.0:
             phi, c, obj = best_line_p2_window(win)
-            out.append((max(0.0, obj), phi, c, 0))
+            out.append((max(0.0, obj), phi, c, 0, *facts))
         else:
             held.append((len(out), win))
-            out.append(None)
+            out.append(facts)
     found = _search([win for _, win in held], p)
     for (i, _), (phi, c, obj, iters) in zip(held, found):
-        out[i] = (max(0.0, obj), phi, c, iters)
+        out[i] = (max(0.0, obj), phi, c, iters, *out[i])
     return out
-
-
-def _noting(windows: Iterable[Window], note: Callable[[Window], object],
-            into: list) -> Iterator[Window]:
-    """Pass ``windows`` through, appending ``note(win)`` of each to
-    ``into``: what a caller needs of a window once :func:`_best_lines` has
-    let it go."""
-    for win in windows:
-        into.append(note(win))
-        yield win
 
 
 def _values(obj: float, mass: float, p: float,
@@ -527,13 +511,10 @@ def beta_both_radii(mu: AnyMeasure, x, radii: Sequence[Scalar],
     radii = [to_fraction(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
-    facts: List[Tuple[float, int, int]] = []
     windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]), radii)
-    lines = _best_lines(_noting(
-        windows, lambda w: (w.mass, w.n_segments, w.n_atoms), facts), p)
     out = []
-    for r, (mass, segments, atoms), (obj, phi, c, iters) in zip(
-            radii, facts, lines):
+    for r, (obj, phi, c, iters, mass, segments, atoms) in zip(
+            radii, _best_lines(windows, p)):
         value, tilde = _values(obj, mass, p)
         b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
                        mass * float(r), segments, atoms, iters)
@@ -590,13 +571,12 @@ def _sum_squares(mu: AnyMeasure, x, p: float,
     and one :func:`_best_lines` over its windows.  Mass-normalized terms of
     empty balls contribute 0 and are counted in ``details.empty_balls``."""
     scales = list(scales)
-    masses: List[float] = []
     windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]),
                               [r for r, _ in scales])
-    lines = _best_lines(_noting(windows, lambda w: w.mass, masses), p)
     total_b = 0.0
     total_t = 0.0
-    for (_, weight), mass, (obj, _, _, _) in zip(scales, masses, lines):
+    for (_, weight), (obj, _, _, _, mass, _, _) in zip(
+            scales, _best_lines(windows, p)):
         b, t = _values(obj, mass, p)
         total_b += b * b * weight
         if t is not None:
