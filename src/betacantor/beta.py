@@ -371,11 +371,7 @@ def _brackets(win: Window, grid: np.ndarray, objs: np.ndarray,
     """Bracket centers of one window: its three best grid directions, the
     exact L^2 direction and the horizontal one, near-duplicates dropped."""
     centers = [float(grid[i]) for i in np.argsort(objs)[:3]]
-    try:
-        phi2, _, _ = best_line_p2_window(win)
-        centers.append(phi2)
-    except EmptyBallError:
-        pass
+    centers.append(best_line_p2_window(win)[0])
     centers.append(math.pi / 2)
     dedup: List[float] = []
     for c in centers:
@@ -630,11 +626,11 @@ def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
 
 
 def beta_lower_bound_probe(mu: CantorMeasure, x, k: int, p: float,
-                           sched, n_radii: int = 7) -> float:
-    """Smallest coefficient over a grid of radii in ``[2 h_k, 4 h_k]``,
+                           sched) -> float:
+    """Smallest coefficient over the radii ``2^(i/6) 2 h_k``, ``i <= 6``,
     used to probe the divergence mechanism of slow-decay schedules."""
     if mu.gen < k:
         raise ValueError("measure generation must be at least k")
     h_k = float(sched.h_of(k))
-    radii = [2.0 * h_k * (2.0 ** (i / (n_radii - 1))) for i in range(n_radii)]
+    radii = [2.0 * h_k * (2.0 ** (i / 6)) for i in range(7)]
     return min(b.value for b, _ in beta_both_radii(mu, x, radii, p))

@@ -48,6 +48,9 @@ ROOT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
 #: largest ``k_max`` the built-in schedules accept
 K_MAX_BUDGET = 8
 
+#: most segments :func:`generate` materializes
+MAX_SEGMENTS = 3_000_000
+
 
 # ---------------------------------------------------------------------------
 # schedules
@@ -259,6 +262,15 @@ def children(parent: WeightedSegment, h: Scalar, a: Scalar,
     return [fam.child(i) for i in range(n)]
 
 
+def _child_layout(length: Fraction, frac: Fraction,
+                  n: int) -> Tuple[Fraction, Fraction]:
+    """``(width, pitch)`` of ``n`` equal children of total length ``frac *
+    length``, first child left-aligned, last right-aligned, equal gaps
+    ``(1-frac)/(n-1) * length``."""
+    width = frac * length / n
+    return width, width + (1 - frac) * length / (n - 1)
+
+
 @dataclass(frozen=True)
 class _Family:
     """Layout of one child family (down or up) of a parent segment."""
@@ -273,12 +285,8 @@ class _Family:
     @classmethod
     def of(cls, parent: WeightedSegment, frac: Fraction, n: int,
            dy: Fraction) -> "_Family":
-        """``n`` equal children of total length ``frac * len(parent)`` on
-        the line ``dy`` above ``parent``, first child left-aligned, last
-        right-aligned, equal gaps ``(1-frac)/(n-1) * len(parent)``."""
-        length = parent.length
-        width = frac * length / n
-        pitch = width + (1 - frac) * length / (n - 1)
+        """:func:`_child_layout` of ``parent``, on the line ``dy`` above."""
+        width, pitch = _child_layout(parent.length, frac, n)
         return cls(parent.left.x, parent.y + dy, width, pitch, n,
                    parent.density)
 
@@ -309,21 +317,19 @@ def refine(parents: Sequence[WeightedSegment], k: int,
     sched.require_generation(k + 1)
     out: List[WeightedSegment] = []
     for parent in parents:
-        down, up = _families(parent, k + 1, sched)
-        out.extend(down.child(i) for i in range(down.count))
-        out.extend(up.child(i) for i in range(up.count))
+        for fam in _families(parent, k + 1, sched):
+            out.extend(fam.child(i) for i in range(fam.count))
     SegmentMeasure(out).check_disjoint()
     return out
 
 
-def generate(sched: Schedule, gen: int,
-             max_segments: int = 3_000_000) -> SegmentMeasure:
+def generate(sched: Schedule, gen: int) -> SegmentMeasure:
     """Materialize a full generation (only viable for small schedules)."""
     sched.require_generation(gen)
-    if sched.segment_count(gen) > max_segments:
+    if sched.segment_count(gen) > MAX_SEGMENTS:
         raise ResourceBudgetError(
             f"generation {gen} has {sched.segment_count(gen)} segments, "
-            f"beyond the budget of {max_segments}")
+            f"beyond the budget of {MAX_SEGMENTS}")
     segs: List[WeightedSegment] = [ROOT]
     for k in range(gen):
         segs = refine(segs, k, sched)
@@ -389,12 +395,9 @@ class CantorMeasure:
             pitches = [[Fraction(0)]]
             for g in range(1, self.gen + 1):
                 a, n = self.sched.a_of(g), self.sched.n_of(g)
-                ws: List[Fraction] = []
-                ps: List[Fraction] = []
-                for length in widths[-1]:
-                    for frac in (1 - a, a):
-                        ws.append(frac * length / n)
-                        ps.append(ws[-1] + (1 - frac) * length / (n - 1))
+                ws, ps = zip(*(_child_layout(length, frac, n)
+                               for length in widths[-1]
+                               for frac in (1 - a, a)))
                 widths.append(ws)
                 pitches.append(ps)
             lifts = [Fraction(0)] + list(self.sched.h[:self.gen])
@@ -678,27 +681,20 @@ def transport(x: RationalPoint, k: int, sched: Schedule) -> RationalPoint:
     Each generation-``k`` segment is split into ``n_{k+1}`` equal pieces;
     the left part of piece ``j`` (length fraction ``1 - a_{k+1}``)
     translates onto the ``j``-th down child, the right part (fraction
-    ``a_{k+1}``, left-open) onto the ``j``-th up child of the same parent.
-    The up assignment is one-to-one and moves points by at most one child
+    ``a_{k+1}``, left-open) onto the ``j``-th up child of the same parent:
+    ``x`` moves by the cell of :func:`transport_cells` that holds it.  The
+    up assignment is one-to-one and moves points by at most one child
     pitch horizontally, so ``|x - T(x)| <= C h_{k+1}``; lengths match
     exactly, so cell masses push forward exactly.
     """
     sched.require_generation(k + 1)
-    pa = locate(x, k, sched)
-    parent = segment_of(pa.path, sched)
-    a = sched.a_of(k + 1)
+    parent = segment_of(locate(x, k, sched).path, sched)
     n = sched.n_of(k + 1)
-    piece = parent.length / n
-    t = x.x - parent.left.x
-    j = min(math.floor(t / piece), n - 1)
-    s = t - j * piece
-    w_down = (1 - a) * piece
-    down, up = _families(parent, k + 1, sched)
-    if s <= w_down:
-        child = down.child(j)
-        return RationalPoint(child.left.x + s, child.y)
-    child = up.child(j)
-    return RationalPoint(child.left.x + (s - w_down), child.y)
+    j = min(math.floor((x.x - parent.left.x) * n / parent.length), n - 1)
+    down, up = transport_cells(parent, k, sched, [j])
+    cell = down if x.x <= down.source_hi else up
+    return RationalPoint(cell.target.left.x + (x.x - cell.source_lo),
+                         cell.target.y)
 
 
 @dataclass(frozen=True)
@@ -739,18 +735,18 @@ def transport_cells(parent: WeightedSegment, k: int, sched: Schedule,
     return cells
 
 
-def verify_conservation(sched: Schedule, gen: int, rng: random.Random,
-                        samples_per_level: int = 5) -> Fraction:
-    """Structural exact-mass check: along randomly sampled descent paths,
-    verify at every level that the two child families carry exactly the
-    parent mass (count * width * density per family), and return the total
-    mass of the generation (the conserved root mass).
+def verify_conservation(sched: Schedule, gen: int,
+                        rng: random.Random) -> Fraction:
+    """Structural exact-mass check: along five randomly sampled descent
+    paths, verify at every level that the two child families carry exactly
+    the parent mass (count * width * density per family), and return the
+    total mass of the generation (the conserved root mass).
 
     This exercises the layout arithmetic at generations far beyond
     enumerability.
     """
     sched.require_generation(gen)
-    for _ in range(samples_per_level):
+    for _ in range(5):
         seg = ROOT
         for g in range(1, gen + 1):
             down, up = _families(seg, g, sched)

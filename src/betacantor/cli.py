@@ -37,7 +37,7 @@ from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12)
 from .corona import MIN_A0, build_lattice, corona_decompose, packing_report
-from .density import (build_mu_tilde, density_profile,
+from .density import (build_mu_tilde, density_profile, doubling_growth,
                       restricted_maximal_comparison, unrectifiability_witness)
 from .errors import (ConfigError, InvariantViolationError,
                      ResourceBudgetError, ScheduleExhaustedError)
@@ -205,9 +205,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.beta_sample is not None and cfg.beta_sample < 1:
         raise ConfigError("beta_sample must be positive")
     try:
-        cfg.schedule()
+        sched = cfg.schedule()
     except _BAD_VALUE as exc:
         raise ConfigError(f"invalid schedule: {exc}") from None
+    # h_g < h_{g-1}/2 (h_0 = 1) keeps every sqfn step window
+    # (h_g, h_{g-1}/2] nonempty and every line height distinct
+    heights = (Fraction(1),) + sched.h[:cfg.k_max]
+    for g, (prev, h) in enumerate(zip(heights, heights[1:]), start=1):
+        if not h < prev / 2:
+            raise ConfigError(f"h_{g} = {h} must lie below h_{g - 1}/2 = "
+                              f"{prev / 2}; lower h_{g}")
     return cfg
 
 
@@ -495,18 +502,18 @@ def cmd_corona(cfg: ExperimentConfig) -> int:
 def cmd_approx(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     atoms, gen = _atom_cloud(cfg, max_atoms=1200)
+    c_star = 2.0
     mu_tilde, family = build_mu_tilde(
-        atoms, cfg.vitali_lambda, Fraction(cfg.rho), cfg.eps,
-        c_star=2.0)
+        atoms, cfg.vitali_lambda, Fraction(cfg.rho), cfg.eps, c_star=c_star)
     write_measure(mu_tilde, out / "mu_tilde.txt")
     rows = []
     for (cx, cy, r), m in zip(family.balls, family.masses):
         m_lam = atoms.ball_mass(Ball(
             (cx, cy), r * Fraction(cfg.vitali_lambda).limit_denominator()))
-        doubling_ok = float(m_lam) <= 2.0 * cfg.vitali_lambda ** 2 * float(m)
-        growth_ok = float(m) <= 10.0 * 2.0 * cfg.vitali_lambda * float(r)
+        flags = doubling_growth(float(m), float(m_lam), float(r),
+                                cfg.vitali_lambda, c_star)
         rows.append((float(cx), float(cy), float(r), float(m),
-                     int(doubling_ok), int(growth_ok)))
+                     *map(int, flags)))
     _write_csv(out / "balls.csv", cfg,
                ["cx", "cy", "radius", "mass", "doubling_ok", "growth_ok"],
                rows)

@@ -32,6 +32,9 @@ from .measures import AtomicMeasure
 #: leave slack from scale 30 upward
 MIN_A0 = 30.0
 
+#: a cube's density ball is its containment ball 28 B(Q), doubled
+DENSITY_DILATION = 2 * 28.0
+
 
 @dataclass
 class LatticeCube:
@@ -58,6 +61,7 @@ class Lattice:
         self.k0 = k0
         self.levels = levels
         self.cubes: List[LatticeCube] = [q for lvl in levels for q in lvl]
+        self.by_id = {q.cube_id: q for q in self.cubes}
 
     @property
     def root(self) -> LatticeCube:
@@ -68,7 +72,6 @@ class Lattice:
         ``InvariantViolationError`` on any failure."""
         xs, ys, _ = self.mu.float_arrays()
         all_idx = frozenset(range(len(self.mu)))
-        by_id = {q.cube_id: q for q in self.cubes}
         for lvl in self.levels:
             seen: set = set()
             for q in lvl:
@@ -81,7 +84,7 @@ class Lattice:
                 raise InvariantViolationError("level does not cover support")
         for lvl in self.levels[1:]:
             for q in lvl:
-                parent = by_id[q.parent]
+                parent = self.by_id[q.parent]
                 if not q.members <= parent.members:
                     raise InvariantViolationError("nesting violated")
         for lvl in self.levels:
@@ -237,7 +240,8 @@ class CoronaTree:
         worst = 0.0
         for root in self.roots:
             m2b = float(self.lattice.mu.ball_masses(
-                root.center[0], root.center[1], [56.0 * root.radius])[0])
+                root.center[0], root.center[1],
+                [DENSITY_DILATION * root.radius])[0])
             worst = max(worst, m2b / max(self.mass_of(root), 1e-300))
         return worst
 
@@ -266,8 +270,8 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
     when its doubled-ball density exceeds ``c_thr`` times its current
     root's; the whole-support cube is always a root.
 
-    Densities are ``mu(B(z_Q, r)) / r`` at ``r = 2 * 28 * r(Q)``, with the
-    radius clipped at the support saturation radius of the center (the
+    Densities are ``mu(B(z_Q, r)) / r`` at ``r = DENSITY_DILATION r(Q)``,
+    the radius clipped at the support saturation radius of the center (the
     smallest radius capturing all mass): beyond saturation a ball gains no
     mass while the normalization keeps growing, which would artificially
     deflate every coarse-scale density and trigger spurious stops.
@@ -276,13 +280,12 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
         raise ValueError("c_thr must exceed 1")
     mu = lattice.mu
     tree = CoronaTree(lattice, c_thr)
-    by_id = {q.cube_id: q for q in lattice.cubes}
     xs, ys, _ = mu.float_arrays()
 
     total = float(mu.total_mass)
 
     def theta(q: LatticeCube) -> float:
-        r2 = 56.0 * q.radius
+        r2 = DENSITY_DILATION * q.radius
         r_supp = float(np.hypot(xs - q.center[0], ys - q.center[1]).max())
         if r_supp > 0 and r_supp <= r2:
             return total / r_supp  # saturated: the ball holds everything
@@ -298,7 +301,7 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
                                     for child in root.children]
     while stack:
         qid, rid = stack.pop()
-        q = by_id[qid]
+        q = lattice.by_id[qid]
         if tree.theta2b[qid] > c_thr * tree.theta2b[rid]:
             tree.roots.append(q)
             rid = qid

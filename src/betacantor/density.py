@@ -3,9 +3,10 @@ grids, the low-density witness at up-passages of the construction, doubling
 radii, a disjoint-ball approximation measure, and grid-restricted maximal
 functions.
 
-Conventions: ambient dimension ``d = 2``, support dimension ``n = 1``, so
-density ratios are ``mu(B(x,r)) / (2r)`` and the maximal function is
-``sup_r mu(B(x,r)) / r``.  Screening over many candidate balls runs on
+Ambient dimension ``d = 2`` and support dimension ``n = 1`` are fixed
+constants: density ratios are ``mu(B(x,r)) / (2r)``, the maximal
+function is ``sup_r mu(B(x,r)) / r``, and :func:`doubling_growth` is the
+one doubling and growth test.  Screening over many candidate balls runs on
 vectorized floats; the masses recorded for selected balls (and hence the
 approximating measure) are exact rationals.
 """
@@ -26,6 +27,9 @@ from .errors import ResourceBudgetError
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        to_fraction)
 from .measures import AnyMeasure, AtomicMeasure, SegmentMeasure
+
+#: most balls :func:`build_mu_tilde` selects
+MAX_BALLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,9 @@ def density_profile(mu: AnyMeasure, x, grid: ScaleGrid) -> DensityProfile:
 
 def unrectifiability_witness(sched: Schedule, pa: PointAddress,
                              k_range: Sequence[int],
-                             gen: Optional[int] = None,
                              ) -> List[Tuple[int, float]]:
-    """Density ratios at ``r = h_k/2`` for a point descending through an up
-    child at each probed level ``k``.
+    """Density ratios at ``r = h_k/2`` of generation ``pa.depth`` for a
+    point descending through an up child at each probed level ``k``.
 
     Near such a point, the ball ``B(x, h_k/2)`` only reaches the sparse up
     family of generation ``k``, so the ratio is of the order ``a_k`` and
@@ -61,14 +64,12 @@ def unrectifiability_witness(sched: Schedule, pa: PointAddress,
     rule out rectifiable pieces.  Raises ``ValueError`` when the address
     does not pass upward at a requested level.
     """
-    if gen is None:
-        gen = pa.depth
-    sched.require_generation(gen)
+    sched.require_generation(pa.depth)
     for k in k_range:
         if classify(pa, k) != UP:
             raise ValueError(f"witness needs an up passage at level {k}")
     x = point_of(pa, sched)
-    mu = CantorMeasure(sched, gen)
+    mu = CantorMeasure(sched, pa.depth)
     out = []
     for k in k_range:
         r = sched.h_of(k) / 2
@@ -77,42 +78,47 @@ def unrectifiability_witness(sched: Schedule, pa: PointAddress,
     return out
 
 
+def doubling_growth(m: float, m_lam: float, r: float, lam: float,
+                    c_star: float) -> Tuple[bool, bool]:
+    """The doubling and growth flags of a ball ``B`` of radius ``r`` and
+    mass ``m`` whose dilate ``lam B`` has mass ``m_lam``:
+    ``m_lam <= 2 lam^2 m`` and ``m <= 10 c_star lam r``."""
+    return m_lam <= 2.0 * lam ** 2 * m, m <= 10.0 * c_star * lam * r
+
+
 def doubling_scales(mu: AnyMeasure, x, lam: float, c_star: float,
-                    grid: ScaleGrid, d: int = 2, n: int = 1) -> List[float]:
-    """Grid radii ``r`` with ``mu(B(x, lam*r)) <= 2 lam^d mu(B(x,r))`` and
-    ``mu(B(x,r)) <= 10 c_star lam^n r^n``."""
+                    grid: ScaleGrid) -> List[float]:
+    """Grid radii ``r`` where ``B(x, r)`` passes both tests of
+    :func:`doubling_growth`."""
     if lam <= 2:
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
-    out = []
     radii = grid.radii()
     masses = mu.ball_masses(fx, fy, radii)
     dilated = mu.ball_masses(fx, fy, [r * lam for r in radii])
-    for r, m_r, m_lr in zip(radii, masses, dilated):
-        if m_lr <= 2.0 * lam ** d * m_r and m_r <= 10.0 * c_star * lam ** n * r ** n:
-            out.append(r)
-    return out
+    return [r for r, m_r, m_lr in zip(radii, masses, dilated)
+            if all(doubling_growth(m_r, m_lr, r, lam, c_star))]
 
 
-def doubling_descent(mu: AnyMeasure, x, s: float, lam: float, c_star: float,
-                     max_steps: int = 60, n: int = 1) -> Optional[float]:
+def doubling_descent(mu: AnyMeasure, x, s: float, lam: float,
+                     c_star: float) -> Optional[float]:
     """Descend ``r = lam^-j s`` from a low-density start until the density
     ratio first reaches ``3 c_star``; that radius satisfies
-    ``mu(B(x, lam*r)) <= lam^n mu(B(x,r))`` and
-    ``mu(B(x,r)) <= 3 c_star lam^n r^n``.
+    ``mu(B(x, lam*r)) <= lam mu(B(x,r))`` and
+    ``mu(B(x,r)) <= 3 c_star lam r``.
 
-    Returns None when the threshold is never reached within ``max_steps``
-    (the start must have ``mu(B(x,s))/s^n <= 2 c_star``).
+    Returns None when the threshold is never reached within 60 steps (the
+    start must have ``mu(B(x,s))/s <= 2 c_star``).
     """
     if lam <= 2:
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
     s = float(s)
-    if mu.ball_masses(fx, fy, [s])[0] / s ** n > 2.0 * c_star:
+    if mu.ball_masses(fx, fy, [s])[0] / s > 2.0 * c_star:
         raise ValueError("descent start must have density ratio <= 2 c_star")
-    for j in range(max_steps + 1):
+    for j in range(61):
         r = s * lam ** (-j)
-        if mu.ball_masses(fx, fy, [r])[0] / r ** n >= 3.0 * c_star:
+        if mu.ball_masses(fx, fy, [r])[0] / r >= 3.0 * c_star:
             return r
     return None
 
@@ -148,19 +154,16 @@ class DoublingBallFamily:
 
 
 def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
-                   c_star: float, radius_levels: int = 8,
-                   max_balls: int = 100_000, max_centers: int = 4000,
-                   seed: int = 0,
+                   c_star: float, max_centers: int = 4000, seed: int = 0,
                    ) -> Tuple[SegmentMeasure, DoublingBallFamily]:
     """Greedy disjoint-ball approximation of a measure.
 
     Candidate balls are centered on the support with radii on the dyadic
-    grid ``rho * 2^-i``; only balls passing the doubling and growth tests
-    (``mu(lam B) <= 2 lam^d mu(B)`` and ``mu(B) <= 10 c_star lam^n r^n``)
-    are eligible.  Eligible balls are selected greedily by decreasing mass
-    (ties: lexicographic center, then larger radius), skipping any that
-    meet an already selected ball, until at most an ``eps`` fraction of the
-    total mass is left uncovered.
+    grid ``rho * 2^-i``, ``i < 8``; only balls passing both tests of
+    :func:`doubling_growth` are eligible.  Eligible balls are selected
+    greedily by decreasing mass (ties: lexicographic center, then larger
+    radius), skipping any that meet an already selected ball, until at
+    most an ``eps`` fraction of the total mass is left uncovered.
 
     Each selected ball ``B_i`` is replaced by the concentric horizontal
     segment of half its radius carrying exactly the mass ``mu(B_i)`` (the
@@ -168,7 +171,8 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     the approximating measure.
 
     Raises ``ResourceBudgetError`` when the candidate family cannot reach
-    the required coverage (``rho`` too small for the support resolution).
+    the required coverage within ``MAX_BALLS`` balls (``rho`` too small
+    for the support resolution).
     """
     if lam <= 2:
         raise ValueError("the dilation factor must exceed 2")
@@ -181,7 +185,7 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     if total <= 0:
         raise ValueError("measure has no mass")
 
-    radii = [rho * Fraction(1, 2 ** i) for i in range(radius_levels)]
+    radii = [rho * Fraction(1, 2 ** i) for i in range(8)]
     centers = mu.candidate_centers(rho, seed, max_centers)
 
     # screening in floats: (mass, center, radius) for every passing ball;
@@ -194,12 +198,9 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
         live = [i for i, m in enumerate(masses) if m > 0]
         dilated = mu.ball_masses(fx, fy, [lam * fradii[i] for i in live])
         for i, m_lam in zip(live, dilated):
-            m, fr = float(masses[i]), fradii[i]
-            if m_lam > 2.0 * lam ** 2 * m:
-                continue
-            if m > 10.0 * c_star * lam * fr:
-                continue
-            candidates.append((m, cx, cy, radii[i]))
+            m = float(masses[i])
+            if all(doubling_growth(m, m_lam, fradii[i], lam, c_star)):
+                candidates.append((m, cx, cy, radii[i]))
 
     # greedy order: decreasing mass, lexicographic center, larger radius
     candidates.sort(key=lambda t: (-t[0], t[1], t[2], -t[3]))
@@ -213,7 +214,7 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     for m, cx, cy, r in candidates:
         if covered >= target * (1.0 - 1e-12):
             break
-        if len(selected) >= max_balls:
+        if len(selected) >= MAX_BALLS:
             raise ResourceBudgetError("ball budget exhausted before coverage")
         fx, fy, fr = float(cx), float(cy), float(r)
         if selected:
@@ -245,29 +246,30 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     return SegmentMeasure(segments), family
 
 
-def maximal_function(mu: AnyMeasure, x, grid: ScaleGrid, n: int = 1) -> float:
-    """Grid-restricted maximal function ``max_r mu(B(x,r)) / r^n``."""
+def maximal_function(mu: AnyMeasure, x, grid: ScaleGrid) -> float:
+    """Grid-restricted maximal function ``max_r mu(B(x,r)) / r``."""
     radii = grid.radii()
     masses = mu.ball_masses(float(x[0]), float(x[1]), radii)
     best = 0.0
     for r, m in zip(radii, masses):
-        best = max(best, float(m) / r ** n)
+        best = max(best, float(m) / r)
     return best
 
 
 def restricted_maximal_comparison(
         mu: AtomicMeasure, family: DoublingBallFamily,
         mu_tilde: SegmentMeasure, r_max: float,
-        lam_grid: float = 2.0 ** -0.25) -> Tuple[float, float, float]:
+        ) -> Tuple[float, float, float]:
     """Numerical check of the maximal-function transfer: integrating the
     (scale-restricted, coverage-restricted) maximal function of the
     original measure over the covered set is controlled by the integral of
     the maximal function of the ball approximation against itself.
 
-    The scale restriction is ``r > rho``; returns ``(lhs, rhs, lhs/rhs)``.
+    The scale restriction is ``r > rho``, on a grid of ratio ``2^-1/4``;
+    returns ``(lhs, rhs, lhs/rhs)``.
     """
     rho = float(family.rho)
-    grid = ScaleGrid(rho * 1.0001, max(r_max, rho * 4.0), lam_grid)
+    grid = ScaleGrid(rho * 1.0001, max(r_max, rho * 4.0), 2.0 ** -0.25)
 
     ax = np.array([float(c[0]) for c in family.balls])
     ay = np.array([float(c[1]) for c in family.balls])

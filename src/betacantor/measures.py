@@ -178,13 +178,6 @@ class SegmentMeasure:
     def total_mass(self) -> Fraction:
         return sum((s.mass for s in self.segments), Fraction(0))
 
-    def endpoints(self) -> List[Tuple[Fraction, Fraction]]:
-        pts: List[Tuple[Fraction, Fraction]] = []
-        for s in self.segments:
-            pts.append((s.left.x, s.y))
-            pts.append((s.right.x, s.y))
-        return pts
-
     def float_arrays(self):
         """Cached float mirrors ``(s, e, y, rho)`` for vectorized numerics."""
         if not hasattr(self, "_floats"):
@@ -271,7 +264,8 @@ class SegmentMeasure:
         return sorted(centers)
 
     def diameter(self) -> float:
-        return diameter(self.endpoints())
+        return diameter((x, s.y) for s in self.segments
+                        for x in (s.left.x, s.right.x))
 
     def check_disjoint(self) -> None:
         """Raise ``ValueError`` if two segments overlap in the interior.

@@ -30,14 +30,14 @@ def _svg_open(width: int, height: int, timestamp: bool) -> List[str]:
 
 
 def render_generations(generations: Sequence[SegmentMeasure],
-                       width: int = 900, height: int = 450,
-                       stroke: float = 3.0, timestamp: bool = False) -> str:
+                       timestamp: bool = False) -> str:
     """Horizontal strokes of one or more generations, one color each.
 
     Generations are stacked top to bottom (earliest on top), each drawn in
     its own band with its own vertical scale so the tiny vertical steps
     stay visible.
     """
+    width, height = 900, 450
     if not generations:
         raise ValueError("nothing to draw")
     bands = len(generations)
@@ -64,22 +64,22 @@ def render_generations(generations: Sequence[SegmentMeasure],
             py = top + band_h - margin - (float(s.y) - y_lo) / y_span * (band_h - 2 * margin)
             out.append(f'<line x1="{px0:.3f}" y1="{py:.3f}" x2="{px1:.3f}" '
                        f'y2="{py:.3f}" stroke="{color}" '
-                       f'stroke-width="{stroke}"/>\n')
+                       'stroke-width="3.0"/>\n')
     out.append("</svg>\n")
     return "".join(out)
 
 
 def render_curves(curves: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
-                  width: int = 700, height: int = 420, log_x: bool = True,
                   timestamp: bool = False,
                   title: Optional[str] = None) -> str:
-    """Polyline plot of named ``(xs, ys)`` curves, x on a log axis by
-    default (coefficient-versus-radius plots)."""
+    """Polyline plot of named ``(xs, ys)`` curves on a 700 x 420 canvas, x
+    on a log axis (coefficient-versus-radius plots)."""
+    width, height = 700, 420
     margin = 50.0
     pts_all_x: List[float] = []
     pts_all_y: List[float] = []
     for _, xs, ys in curves:
-        pts_all_x.extend(math.log10(x) if log_x else x for x in xs)
+        pts_all_x.extend(math.log10(x) for x in xs)
         pts_all_y.extend(ys)
     if not pts_all_x:
         raise ValueError("nothing to draw")
@@ -103,7 +103,7 @@ def render_curves(curves: Sequence[Tuple[str, Sequence[float], Sequence[float]]]
     for ci, (name, xs, ys) in enumerate(curves):
         color = PALETTE[ci % len(PALETTE)]
         coords = " ".join(
-            f"{px(math.log10(x) if log_x else x):.2f},{py(y):.2f}"
+            f"{px(math.log10(x)):.2f},{py(y):.2f}"
             for x, y in zip(xs, ys))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>\n')
@@ -111,7 +111,6 @@ def render_curves(curves: Sequence[Tuple[str, Sequence[float], Sequence[float]]]
                    f'y="{margin + 16 + 16 * ci:.1f}" font-size="12" '
                    f'fill="{color}">{name}</text>\n')
     out.append(f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="12" '
-               f'text-anchor="middle">'
-               f'{"log10 r" if log_x else "r"}</text>\n')
+               f'text-anchor="middle">log10 r</text>\n')
     out.append("</svg>\n")
     return "".join(out)

@@ -490,6 +490,30 @@ class TestTransport:
                     assert cell.source_mass_at(parent.density) == \
                         cell.target.mass
 
+    def test_cells_carry_left_ends_and_midpoints(self):
+        # a down cell is closed on the left; an up cell is left-open, its
+        # left end being the right end of the down cell of the same piece
+        sched = schedule_thm11(3)
+        rng = random.Random(9)
+        for k in (0, 1, 2):
+            for _ in range(3):
+                parent = segment_of(sample_address(sched, k, rng).path, sched)
+                n = sched.n_of(k + 1)
+                cells = transport_cells(parent, k, sched,
+                                        [0, rng.randrange(n), n - 1])
+                for down, up in zip(cells[::2], cells[1::2]):
+                    assert (down.branch, up.branch) == (DOWN, UP)
+                    for cell in (down, up):
+                        mid = (cell.source_lo + cell.source_hi) / 2
+                        tgt = cell.target
+                        assert transport(RationalPoint(mid, parent.y), k,
+                                         sched) == RationalPoint(
+                            (tgt.left.x + tgt.right.x) / 2, tgt.y)
+                    assert transport(RationalPoint(down.source_lo, parent.y),
+                                     k, sched) == down.target.left
+                    assert transport(RationalPoint(up.source_lo, parent.y),
+                                     k, sched) == down.target.right
+
     def test_point_off_support_rejected(self):
         sched = schedule_tame(2)
         with pytest.raises(ValueError):

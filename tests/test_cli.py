@@ -114,6 +114,12 @@ class TestExitCodes:
         ("generate", {"flavor": "tame", "k_max": 3,
                       "window": ["1/2", "abc", "1/8"]}),
         ("beta", {"flavor": "tame", "k_max": 0}),
+        # step heights that do not halve: overlapping lines, and an empty
+        # sqfn step window (h_g, h_{g-1}/2]
+        ("generate", {"custom_h": ["1/4", "1/4"], "custom_n": [3, 3]}),
+        ("sqfn", {"custom_h": ["1/4", "1/4"], "custom_n": [3, 3]}),
+        ("beta", {"custom_h": ["1/4", "1/4"], "custom_n": [3, 3]}),
+        ("sqfn", {"flavor": "thm11", "k_max": 1, "h1": "1/2"}),
     ])
     def test_bad_schedule_and_window_values(self, tmp_path, command,
                                             overrides):
