@@ -14,11 +14,10 @@ Faithful schedules force the vertical steps to collapse extremely fast
 has ~2^45 segments, so everything here is built around one *lazy, window
 restricted* descent (``CantorMeasure``).  It is exact: its coordinates are
 Python ints over one common denominator (the lcm of the layout's, fixed
-per schedule and generation, and the query ball's), and its output
-segments become ``Fraction``s only at the end.  By default it collapses
+per schedule and generation, and the query ball's), which the segment core
+of ``measures`` clips and rescales as they are.  By default it collapses
 sub-resolution periodic runs of children into equivalent uniform segments
-(mass preserved exactly); at resolution 0 it returns the exact
-restriction.
+(mass preserved exactly); at resolution 0 it returns the exact restriction.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ import numpy as np
 from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
-                       half_chord, to_fraction)
-from .measures import SegmentMeasure, Window
+                       to_fraction)
+from .measures import SegmentMeasure, Window, _clip_mass, _unit_window
 
 DOWN = "d"
 UP = "u"
@@ -51,6 +50,9 @@ K_MAX_BUDGET = 8
 #: most segments :func:`generate` materializes
 MAX_SEGMENTS = 3_000_000
 
+#: most tree nodes one :class:`CantorMeasure` descent visits
+MAX_NODES = 500_000
+
 
 # ---------------------------------------------------------------------------
 # schedules
@@ -61,11 +63,10 @@ class Schedule:
     """Parameter sequences ``(a_k, h_k, n_k)`` for generations ``1..k_max``.
 
     ``a`` and ``h`` are exact rationals in (0,1); ``n_k > 2`` integers.
-    ``gap_ok[k-1]`` records whether the fast-collapse condition
-    ``h_k <= 2^{-2(k-1)-5} min(h_{k-1}, shortest generation-(k-1) segment)``
-    holds at step ``k`` (with ``h_0 = 1`` for the first step), checked in
-    exact arithmetic.  ``approx_a`` flags schedules whose ``a_k`` are
-    rational approximations of irrational targets.
+    ``gap_ok[k-1]`` records whether ``h_k`` meets the :func:`gap_bound` of
+    step ``k - 1`` (with ``h_0 = 1``), in exact arithmetic.  ``approx_a``
+    flags schedules whose ``a_k`` are rational approximations of
+    irrational targets.
     """
 
     a: Tuple[Fraction, ...]
@@ -136,14 +137,9 @@ class Schedule:
     @property
     def gap_ok(self) -> Tuple[bool, ...]:
         """Per-step exact check of the fast-collapse gap condition."""
-        flags = []
-        prev_h = Fraction(1)
-        for k in range(1, self.k_max + 1):
-            bound = Fraction(1, 2 ** (2 * (k - 1) + 5)) * min(
-                prev_h, self.min_length(k - 1))
-            flags.append(self.h_of(k) <= bound)
-            prev_h = self.h_of(k)
-        return tuple(flags)
+        hs = (Fraction(1),) + self.h
+        return tuple(hs[k + 1] <= gap_bound(k, hs[k], self.min_length(k))
+                     for k in range(self.k_max))
 
     @property
     def n_rule_ok(self) -> Tuple[bool, ...]:
@@ -163,13 +159,17 @@ def smallest_integer_above(q: Fraction) -> int:
     return math.floor(q) + 1
 
 
+def gap_bound(k: int, h_k: Fraction, min_len: Fraction) -> Fraction:
+    """The fast-collapse bound ``2^{-2k-5} min(h_k, min_len)`` on
+    ``h_{k+1}``, for the shortest generation-``k`` segment ``min_len``."""
+    return Fraction(1, 2 ** (2 * k + 5)) * min(h_k, min_len)
+
+
 def _equality_case_h(a: Sequence[Fraction], k_max: int,
                      h1: Fraction) -> Tuple[List[Fraction], List[int]]:
-    """Build ``h``/``n`` at the equality case of the gap condition.
-
-    ``h_{k+1} = 2^{-2k-5} min(h_k, shortest generation-k segment)`` with the
-    given ``h_1``; ``n_k`` the smallest integer above ``1/h_k^2``.
-    """
+    """Build ``h``/``n`` at the equality case of the gap condition:
+    ``h_{k+1}`` is the :func:`gap_bound` of step ``k``, from the given
+    ``h_1``; ``n_k`` the smallest integer above ``1/h_k^2``."""
     hs: List[Fraction] = []
     ns: List[int] = []
     minlen = ROOT.length
@@ -179,7 +179,7 @@ def _equality_case_h(a: Sequence[Fraction], k_max: int,
         nk = smallest_integer_above(1 / hk ** 2)
         ns.append(nk)
         minlen = minlen * min(a[k - 1], 1 - a[k - 1]) / nk
-        hk = Fraction(1, 2 ** (2 * k + 5)) * min(hk, minlen)
+        hk = gap_bound(k, hk, minlen)
     return hs, ns
 
 
@@ -355,7 +355,7 @@ class CantorMeasure:
     ``rel_resolution=0`` is the exact mode: nothing is collapsed and the
     ball is not enlarged, so ``window`` returns exactly the generation-
     ``gen`` segments that meet the closed ball.  In either mode the descent
-    visits at most ``max_nodes`` tree nodes and raises
+    visits at most ``MAX_NODES`` tree nodes and raises
     ``ResourceBudgetError`` before it would visit more.
     """
 
@@ -365,8 +365,7 @@ class CantorMeasure:
     DEFAULT_RESOLUTION = Fraction(1, 64)
 
     def __init__(self, sched: Schedule, gen: int,
-                 rel_resolution: Optional[Scalar] = None,
-                 max_nodes: int = 500_000):
+                 rel_resolution: Optional[Scalar] = None):
         sched.require_generation(gen)
         if rel_resolution is None:
             rel_resolution = self.DEFAULT_RESOLUTION
@@ -376,7 +375,6 @@ class CantorMeasure:
         self.sched = sched
         self.gen = gen
         self.rel_resolution = rel_resolution
-        self.max_nodes = max_nodes
         self._layout = None
 
     @property
@@ -413,10 +411,11 @@ class CantorMeasure:
 
     def _descend(self, ball: Ball,
                  ) -> Tuple[int, List[Tuple[int, int, int, int]]]:
-        """The one tree descent behind :meth:`window` and :meth:`ball_mass`:
-        ``(u, out)`` with one ``(y, x, w, m)`` per window segment, all ints
-        over the common denominator ``u``: the segment ``[x, x + w] x {y}``
-        of mass ``m`` (``m == w`` for unit density), unsorted."""
+        """The one tree descent behind :meth:`window`, :meth:`ball_mass`
+        and :meth:`unit_windows`: ``(u, out)``, one ``(y, x, w, m)`` per
+        window segment, ints over the common denominator ``u``: ``[x, x +
+        w] x {y}`` of mass ``m`` (``m == w`` for unit density), unsorted;
+        the pieces are disjoint, so no two share ``(y, x)``."""
         # enlarge so segments touching the closed ball, and runs blurred by
         # up to one pitch, are never missed
         big_r = ball.radius * (1 + self.rel_resolution)
@@ -472,20 +471,20 @@ class CantorMeasure:
                                 (count - 1) * pitch + kid_w, count * kid_w))
                     continue
                 pushed += count
-                if pushed > self.max_nodes:
+                if pushed > MAX_NODES:
                     raise ResourceBudgetError(
                         f"window descent at center ({float(ball.cx):g}, "
                         f"{float(ball.cy):g}), radius {float(ball.radius):g} "
-                        f"visits more than max_nodes={self.max_nodes} nodes; "
-                        f"raise max_nodes or coarsen rel_resolution (now "
-                        f"{self.rel_resolution}), or shrink the window")
+                        f"visits more than {MAX_NODES} nodes; coarsen "
+                        f"rel_resolution (now {self.rel_resolution}) or "
+                        f"shrink the window")
                 stack.extend((x + i * pitch, kid_y, g, kid)
                              for i in range(i_lo, i_hi + 1))
         return u, out
 
     def window(self, center, radius: Scalar) -> SegmentMeasure:
         u, out = self._descend(Ball(center, radius))
-        out.sort(key=lambda t: (t[0], t[1]))
+        out.sort()
         return SegmentMeasure(
             (WeightedSegment(RationalPoint(Fraction(x, u), Fraction(y, u)),
                              RationalPoint(Fraction(x + w, u), Fraction(y, u)),
@@ -494,46 +493,9 @@ class CantorMeasure:
             generation=self.gen)
 
     def ball_mass(self, ball: Ball) -> Fraction:
-        """Mass of the closed ball under the window around it, in exact
-        rationals: the true mass at ``rel_resolution=0``, the mass of the
-        aggregated window otherwise.  The window segments are clipped with
-        one :func:`half_chord` per line and summed as ints over
-        ``v = lcm(u, den(r))`` (times the denominator of an irrational
-        chord's dyadic float); a fraction is made only per distinct
-        denominator."""
-        u, out = self._descend(ball)
-        v = math.lcm(u, ball.radius.denominator)
-        k = v // u
-        cx = ball.cx.numerator * (v // ball.cx.denominator)
-        cy = ball.cy.numerator * (v // ball.cy.denominator)
-        r = ball.radius.numerator * (v // ball.radius.denominator)
-        r2, v2 = r * r, v * v
-        # per line: None when the chord misses, else (lo, hi, s) over v * s
-        chords: Dict[int, Optional[Tuple[int, int, int]]] = {}
-        # clipped masses (clip * m / w) as numerators over v * s * w, keyed
-        # by (s, w)
-        sums: Dict[Tuple[int, int], int] = {}
-        for y, x, w, m in out:
-            if y not in chords:
-                dy = y * k - cy
-                w2 = r2 - dy * dy
-                if w2 < 0:
-                    chords[y] = None
-                else:
-                    half = half_chord(w2, v2)
-                    s = half.denominator // math.gcd(half.denominator, v)
-                    hw = half.numerator * (v * s // half.denominator)
-                    chords[y] = (cx * s - hw, cx * s + hw, s)
-            chord = chords[y]
-            if chord is None:
-                continue
-            lo_c, hi_c, s = chord
-            lo = max(x * k * s, lo_c)
-            hi = min((x + w) * k * s, hi_c)
-            if lo < hi:
-                sums[s, w] = sums.get((s, w), 0) + (hi - lo) * m
-        return sum((Fraction(n, v * s * w) for (s, w), n in sums.items()),
-                   Fraction(0))
+        """:func:`_clip_mass` of the window around the ball: the true mass
+        at ``rel_resolution=0``, the aggregated window's otherwise."""
+        return _clip_mass(*self._descend(ball), ball)
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
@@ -544,10 +506,11 @@ class CantorMeasure:
 
     def unit_windows(self, cx: Fraction, cy: Fraction,
                      radii: Sequence[Scalar]) -> Iterator[Window]:
-        """The lazy window around each ``B((cx, cy), r)``, rescaled to the
-        unit ball like any segment measure."""
-        for r in radii:
-            yield from self.window((cx, cy), r).unit_windows(cx, cy, [r])
+        """:func:`_unit_window` of the lazy window around each ``B((cx,
+        cy), r)``, its pieces sorted by ``(y, x)`` as in :meth:`window`."""
+        for ball in (Ball((cx, cy), r) for r in radii):
+            u, out = self._descend(ball)
+            yield _unit_window(u, sorted(out), ball)
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

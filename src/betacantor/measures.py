@@ -28,18 +28,18 @@ methods) and the window protocol (the last two):
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from functools import cached_property
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
 from .geometry import (CLIP_REL_TOL, Ball, Line, RationalPoint, Scalar,
-                       WeightedSegment, ball_chord, diameter, to_fraction)
+                       WeightedSegment, diameter, half_chord, to_fraction)
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
@@ -154,6 +154,80 @@ def centered_moments(m, sx, sy, sxx, syy, sxy):
     return cx, cy, cxx, cyy, cxy, max(0.0, half_tr - disc)
 
 
+# ---------------------------------------------------------------------------
+# the segment core: pieces (y, x, w, m), ints over one denominator u, each the
+# segment [x, x + w] x {y} of mass m (density m / w)
+# ---------------------------------------------------------------------------
+
+def _lift(u: int, ball: Ball) -> Tuple[int, int, int, int, int]:
+    """``(v, v // u, cx, cy, r)``: the ball as ints over ``v = lcm(u, den
+    cx, den cy, den r)``, the common denominator of pieces and ball."""
+    cx, cy, r = ball.cx, ball.cy, ball.radius
+    v = math.lcm(u, cx.denominator, cy.denominator, r.denominator)
+    return (v, v // u, cx.numerator * (v // cx.denominator),
+            cy.numerator * (v // cy.denominator),
+            r.numerator * (v // r.denominator))
+
+
+def _clip_mass(u: int, rows: Iterable[Tuple[int, int, int, int]],
+               ball: Ball) -> Fraction:
+    """The exact mass of the pieces in the closed ball.  Each line is cut
+    to one :func:`half_chord` and the clipped masses are summed as ints
+    over ``v`` (times the denominator of an irrational chord's dyadic
+    float); a fraction is made only per distinct denominator."""
+    v, k, cx, cy, r = _lift(u, ball)
+    r2, v2 = r * r, v * v
+    # per line: None when the chord misses, else (lo, hi, s) over v * s
+    chords: Dict[int, Optional[Tuple[int, int, int]]] = {}
+    # clipped masses clip * m / w as numerators over v * s * w, per (s, w)
+    sums: Dict[Tuple[int, int], int] = {}
+    for y, x, w, m in rows:
+        if y not in chords:
+            dy = y * k - cy
+            w2 = r2 - dy * dy
+            if w2 < 0:
+                chords[y] = None
+            else:
+                half = half_chord(w2, v2)
+                s = half.denominator // math.gcd(half.denominator, v)
+                hw = half.numerator * (v * s // half.denominator)
+                chords[y] = (cx * s - hw, cx * s + hw, s)
+        chord = chords[y]
+        if chord is None:
+            continue
+        lo_c, hi_c, s = chord
+        lo = max(x * k * s, lo_c)
+        hi = min((x + w) * k * s, hi_c)
+        if lo < hi:
+            sums[s, w] = sums.get((s, w), 0) + (hi - lo) * m
+    return sum((Fraction(n, v * s * w) for (s, w), n in sums.items()),
+               Fraction(0))
+
+
+def _unit_window(u: int, rows: Iterable[Tuple[int, int, int, int]],
+                 ball: Ball) -> Window:
+    """The pieces in the ball rescaled to the unit ball, in row order: each
+    rescaled coordinate and density is one int / int division, correctly
+    rounded like ``float(Fraction)``, then the chord clip runs in floats
+    with tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
+    _, k, cx, cy, r = _lift(u, ball)
+    fr = float(ball.radius)
+    pieces: List[Tuple[float, float, float, float]] = []
+    for y, x, w, m in rows:
+        fy = (y * k - cy) / r
+        if abs(fy) > 1.0 + CLIP_REL_TOL:
+            continue
+        hw = math.sqrt(max(0.0, 1.0 - min(1.0, fy * fy)))
+        s = max((x * k - cx) / r, -hw)
+        e = min(((x + w) * k - cx) / r, hw)
+        if e - s > 0.0:
+            pieces.append((s, e, fy, m / w * fr))
+    s, e, y, rho = np.array(pieces, dtype=float).reshape(-1, 4).T.copy()
+    # a unit of rescaled density keeps its value while lengths shrink by r,
+    # so rescaled masses are the original ones divided by r
+    return Window(s, e, y, rho * (1.0 / fr) * (e - s))
+
+
 @dataclass(frozen=True)
 class SegmentMeasure:
     """A finite weighted union of horizontal segments.
@@ -188,22 +262,19 @@ class SegmentMeasure:
             object.__setattr__(self, "_floats", (ss, ee, yy, rr))
         return self._floats  # type: ignore[attr-defined]
 
+    @cached_property
+    def _int_rows(self) -> Tuple[int, List[Tuple[int, int, int, int]]]:
+        """``(u, rows)``: the segments in order as pieces ``(y, x, w, m)``
+        over one denominator ``u``."""
+        u = math.lcm(*(q.denominator for s in self.segments
+                       for q in (s.left.x, s.right.x, s.y, s.mass)))
+        return u, [tuple(q.numerator * (u // q.denominator)
+                         for q in (s.y, s.left.x, s.length, s.mass))
+                   for s in self.segments]
+
     def ball_mass(self, ball: Ball) -> Fraction:
-        """Clipped lengths times densities; exact whenever the chord
-        endpoints are rational.  The chord is computed once per line."""
-        total = Fraction(0)
-        chords: dict = {}
-        for seg in self.segments:
-            y = seg.y
-            if y not in chords:
-                chords[y] = ball_chord(ball, y)
-            chord = chords[y]
-            if chord is not None:
-                lo = max(seg.left.x, chord[0])
-                hi = min(seg.right.x, chord[1])
-                if lo < hi:
-                    total += seg.density * (hi - lo)
-        return total
+        """:func:`_clip_mass` of the segments."""
+        return _clip_mass(*self._int_rows, ball)
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
@@ -220,35 +291,9 @@ class SegmentMeasure:
 
     def unit_windows(self, cx: Fraction, cy: Fraction,
                      radii: Sequence[Scalar]) -> Iterator[Window]:
-        """The segments in each ``B((cx, cy), r)`` rescaled to the unit
-        ball: exact rational rescaling first, then the chord clip in floats
-        with tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
+        """:func:`_unit_window` of the segments, per radius."""
         for r in radii:
-            r = to_fraction(r)
-            ss: List[float] = []
-            ee: List[float] = []
-            yy: List[float] = []
-            rho: List[float] = []
-            for seg in self.segments:
-                y = float((seg.y - cy) / r)
-                if abs(y) > 1.0 + CLIP_REL_TOL:
-                    continue
-                w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
-                s = max(float((seg.left.x - cx) / r), -w)
-                e = min(float((seg.right.x - cx) / r), w)
-                if e - s <= 0.0:
-                    continue
-                ss.append(s)
-                ee.append(e)
-                yy.append(y)
-                rho.append(float(seg.density) * float(r))
-            # a unit of rescaled density keeps its value while lengths
-            # shrink by r, so rescaled masses are the original ones divided
-            # by r
-            s_arr = np.asarray(ss, dtype=float)
-            e_arr = np.asarray(ee, dtype=float)
-            rho_arr = np.asarray(rho, dtype=float) * (1.0 / float(r))
-            yield Window(s_arr, e_arr, yy, rho_arr * (e_arr - s_arr))
+            yield _unit_window(*self._int_rows, Ball((cx, cy), r))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
@@ -417,67 +462,59 @@ def atomize(mu: SegmentMeasure, spacing: Scalar) -> AtomicMeasure:
 #   A x y mass
 # ---------------------------------------------------------------------------
 
-def _format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _parse_rational(tok: str) -> Fraction:
-    return Fraction(tok)
-
-
 def dumps_measure(mu: SegmentMeasure | AtomicMeasure) -> str:
     """Serialize a measure in the line-oriented text format."""
-    out = io.StringIO()
     if isinstance(mu, SegmentMeasure):
-        for s in mu.segments:
-            out.write("S {} {} {} {} {}\n".format(
-                _format_rational(s.left.x), _format_rational(s.y),
-                _format_rational(s.right.x), _format_rational(s.y),
-                _format_rational(s.density)))
+        recs = [("S", s.left.x, s.y, s.right.x, s.y, s.density)
+                for s in mu.segments]
     else:
-        for x, y, m in mu.atoms:
-            out.write("A {} {} {}\n".format(
-                _format_rational(x), _format_rational(y),
-                _format_rational(m)))
-    return out.getvalue()
+        recs = [("A",) + atom for atom in mu.atoms]
+    return "".join(" ".join(map(str, rec)) + "\n" for rec in recs)
+
+
+def _parse_record(toks: List[str], records: Dict[str, list]) -> None:
+    """Append one ``S`` (segment) or ``A`` (atom) record to ``records``."""
+    kind, fields = toks[0], toks[1:]
+    size = {"S": 5, "A": 3}.get(kind)
+    if size is None:
+        raise ValueError(f"unknown record kind {kind!r}")
+    if len(fields) != size:
+        raise ValueError(f"{kind} record needs {size} fields")
+    if records["A" if kind == "S" else "S"]:
+        raise ValueError("mixed segment/atom files are not supported")
+    vals = [Fraction(tok) for tok in fields]
+    if kind == "A":
+        if vals[2] < 0:
+            raise ValueError("atom masses must be nonnegative")
+        records[kind].append(tuple(vals))
+    elif vals[1] != vals[3]:
+        raise ValueError("segment is not horizontal")
+    else:
+        records[kind].append(WeightedSegment(
+            RationalPoint(*vals[:2]), RationalPoint(*vals[2:4]), vals[4]))
 
 
 def loads_measure(text: str) -> SegmentMeasure | AtomicMeasure:
     """Parse the text format back into a measure.
 
     Files must be homogeneous: all-``S`` gives a ``SegmentMeasure``,
-    all-``A`` an ``AtomicMeasure``; mixing the two kinds is rejected.
+    all-``A`` an ``AtomicMeasure``; mixing the two kinds is rejected.  A
+    malformed record raises ``ValueError("line N: ...")``.
     """
-    segments: List[WeightedSegment] = []
-    atoms: List[Tuple[Fraction, Fraction, Fraction]] = []
+    records: Dict[str, list] = {"S": [], "A": []}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = line.split()
-        kind = toks[0]
-        if kind == "S":
-            if len(toks) != 6:
-                raise ValueError(f"line {ln}: S record needs 5 fields")
-            x0, y0, x1, y1, dens = map(_parse_rational, toks[1:])
-            if y0 != y1:
-                raise ValueError(f"line {ln}: segment is not horizontal")
-            segments.append(WeightedSegment(RationalPoint(x0, y0),
-                                            RationalPoint(x1, y1), dens))
-        elif kind == "A":
-            if len(toks) != 4:
-                raise ValueError(f"line {ln}: A record needs 3 fields")
-            x, y, m = map(_parse_rational, toks[1:])
-            atoms.append((x, y, m))
-        else:
-            raise ValueError(f"line {ln}: unknown record kind {kind!r}")
-    if segments and atoms:
-        raise ValueError("mixed segment/atom files are not supported")
-    if atoms:
-        return AtomicMeasure(atoms)
-    return SegmentMeasure(segments)
+        try:
+            _parse_record(toks, records)
+        except ZeroDivisionError:
+            raise ValueError(f"line {ln}: zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
+    if records["A"]:
+        return AtomicMeasure(records["A"])
+    return SegmentMeasure(records["S"])
 
 
 def write_measure(mu: SegmentMeasure | AtomicMeasure, path) -> None:

@@ -13,9 +13,12 @@ from betacantor import (Ball, CantorMeasure, RationalPoint, SegmentMeasure,
                         schedule_custom, schedule_tame, schedule_thm11,
                         schedule_thm12, segment_of, transport,
                         transport_cells)
-from betacantor.cantor import (DOWN, ROOT, UP, max_separation_squared,
-                               separation_bound_holds, verify_conservation)
+from betacantor import cantor
+from betacantor.cantor import (DOWN, ROOT, UP, gap_bound,
+                               max_separation_squared, separation_bound_holds,
+                               verify_conservation)
 from betacantor.errors import ResourceBudgetError, ScheduleExhaustedError
+from betacantor.geometry import ball_chord
 
 UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
 
@@ -33,10 +36,10 @@ def segment_ball_intersects(seg, ball):
     return dx * dx + dy * dy <= ball.radius * ball.radius
 
 
-def exact_window(sched, gen, ball, **kw):
+def exact_window(sched, gen, ball):
     """The generation-``gen`` segments meeting a closed ball, by the exact
     (``rel_resolution=0``) descent."""
-    mu = CantorMeasure(sched, gen, rel_resolution=0, **kw)
+    mu = CantorMeasure(sched, gen, rel_resolution=0)
     return mu.window((ball.cx, ball.cy), ball.radius)
 
 
@@ -144,6 +147,15 @@ class TestSchedules:
         assert s.h_of(1) == F(1, 128)
         assert s.n_of(1) == 16385  # smallest integer above 128^2
 
+    @pytest.mark.parametrize("make", [schedule_thm11, schedule_thm12])
+    def test_built_in_schedules_meet_the_gap_bound_with_equality(self, make):
+        # h_1 is given; every later step sits exactly on the bound
+        s = make(5)
+        assert all(s.gap_ok) and len(s.gap_ok) == 5
+        for k in range(1, 5):
+            assert s.h_of(k + 1) == gap_bound(k, s.h_of(k), s.min_length(k))
+        assert s.h_of(1) < gap_bound(0, F(1), s.min_length(0))
+
     def test_tame_is_not_faithful(self):
         s = schedule_tame(3)
         assert not any(s.gap_ok)
@@ -244,20 +256,19 @@ class TestWindowedGeneration:
             tol = float(mu.rel_resolution * radius) * 4 + 1e-12
             assert abs(exact - lazy) <= tol
 
-    def test_budget_errors_say_what_to_change(self):
+    def test_budget_errors_say_what_to_change(self, monkeypatch):
         # this window expands more than a hundred parents
-        mu = CantorMeasure(schedule_tame(3), 3, max_nodes=10)
+        monkeypatch.setattr(cantor, "MAX_NODES", 10)
+        mu = CantorMeasure(schedule_tame(3), 3)
         with pytest.raises(ResourceBudgetError) as err:
             mu.window((F(1, 2), 0), F(1, 16))
         msg = str(err.value)
         assert "center (0.5, 0), radius 0.0625" in msg
-        assert "max_nodes=10" in msg
-        assert "raise max_nodes or coarsen rel_resolution" in msg
+        assert "visits more than 10 nodes; coarsen rel_resolution" in msg
         with pytest.raises(ResourceBudgetError,
-                           match=r"rel_resolution \(now 0\), or shrink the "
+                           match=r"rel_resolution \(now 0\) or shrink the "
                                  r"window$"):
-            exact_window(schedule_tame(2), 2, Ball((F(1, 2), 0), 4),
-                         max_nodes=10)
+            exact_window(schedule_tame(2), 2, Ball((F(1, 2), 0), 4))
 
     @pytest.mark.parametrize("make, gen, digest", [
         (lambda: schedule_thm11(2), 2, 
@@ -316,6 +327,51 @@ class TestWindowedGeneration:
         assert max_separation_squared(segs) == brute
 
 
+def probe_balls(sched, gen, seed, scale=1):
+    """20 seeded balls near the generation-``gen`` support, of radii from
+    1e-7 to 0.5 times ``scale``, cycling through five kinds: centered on a
+    support point, at a float point near it, shifted from it by a multiple
+    of 1/3 or 1/7 of a radius of that denominator, a 3-4-5 triangle (a
+    rational half-chord on the line of the point) and tangent to that line
+    from above."""
+    rng = random.Random(seed)
+    for i in range(20):
+        pt = point_of(sample_address(sched, gen, rng), sched)
+        # dyadic radii: mostly irrational chords
+        r = F(10 ** rng.uniform(-7, math.log10(0.5)))
+        kind = i % 5
+        if kind == 0:
+            center = (pt.x, pt.y)
+        elif kind == 1:
+            center = (float(pt.x) + rng.uniform(-1, 1) * float(r),
+                      float(pt.y) + rng.uniform(-1, 1) * float(r))
+        elif kind == 2:
+            den = (3, 7)[i % 2]
+            center = (pt.x + F(rng.randrange(-den, den + 1), den) * r, pt.y)
+            r = F(max(1, round(r * den * 2 ** 30)), den * 2 ** 30)
+        elif kind == 3:
+            t = F(max(1, round(r * 2 ** 30)), 5 * 2 ** 30)
+            center, r = (pt.x, pt.y + 3 * t), 5 * t
+        else:
+            center = (pt.x, pt.y + r)
+        ball = Ball(center, r)
+        yield Ball((pt.x + (ball.cx - pt.x) * scale,
+                    pt.y + (ball.cy - pt.y) * scale), ball.radius * scale)
+
+
+def chord_mass(segments, ball):
+    """The ``Fraction`` mass of segments in a closed ball: each segment cut
+    to the :func:`ball_chord` of its line."""
+    total = F(0)
+    for seg in segments:
+        chord = ball_chord(ball, seg.y)
+        if chord is not None:
+            lo, hi = max(seg.left.x, chord[0]), min(seg.right.x, chord[1])
+            if lo < hi:
+                total += seg.density * (hi - lo)
+    return total
+
+
 class TestIntegerBallMass:
     """``CantorMeasure.ball_mass`` clips the descent output in ints; it
     must equal the ``Fraction`` clip of the same window exactly."""
@@ -330,41 +386,56 @@ class TestIntegerBallMass:
     def test_matches_window_clip(self, make, gen, res):
         sched = make()
         mu = CantorMeasure(sched, gen, rel_resolution=res)
-        rng = random.Random(31 + gen)
-        for i in range(20):
-            pt = point_of(sample_address(sched, gen, rng), sched)
-            # dyadic radii from 1e-7 to 0.5: mostly irrational chords
-            r = F(10 ** rng.uniform(-7, math.log10(0.5)))
-            kind = i % 5
-            if kind == 0:
-                center = (pt.x, pt.y)
-            elif kind == 1:
-                center = (float(pt.x) + rng.uniform(-1, 1) * float(r),
-                          float(pt.y) + rng.uniform(-1, 1) * float(r))
-            elif kind == 2:
-                den = (3, 7)[i % 2]
-                center = (pt.x + F(rng.randrange(-den, den + 1), den) * r,
-                          pt.y)
-                r = F(max(1, round(r * den * 2 ** 30)), den * 2 ** 30)
-            elif kind == 3:
-                # a 3-4-5 triangle: rational half-chord 4t on the line of pt
-                t = F(max(1, round(r * 2 ** 30)), 5 * 2 ** 30)
-                center, r = (pt.x, pt.y + 3 * t), 5 * t
-            else:
-                # tangent to the line of pt from above
-                center = (pt.x, pt.y + r)
-            ball = Ball(center, r)
-            want = mu.window((ball.cx, ball.cy), ball.radius).ball_mass(ball)
-            assert mu.ball_mass(ball) == want
+        for ball in probe_balls(sched, gen, 31 + gen):
+            win = mu.window((ball.cx, ball.cy), ball.radius)
+            assert mu.ball_mass(ball) == chord_mass(win.segments, ball)
 
-    def test_budget_error_unchanged(self):
-        mu = CantorMeasure(schedule_tame(3), 3, max_nodes=10)
+    def test_budget_error_unchanged(self, monkeypatch):
+        monkeypatch.setattr(cantor, "MAX_NODES", 10)
+        mu = CantorMeasure(schedule_tame(3), 3)
         ball = Ball((F(1, 2), 0), F(1, 16))
         with pytest.raises(ResourceBudgetError) as via_window:
             mu.window((ball.cx, ball.cy), ball.radius)
         with pytest.raises(ResourceBudgetError) as via_mass:
             mu.ball_mass(ball)
         assert str(via_mass.value) == str(via_window.value)
+
+
+class TestIntegerUnitWindow:
+    """``CantorMeasure.unit_windows`` rescales the descent output straight
+    from its ints; every array equals, bit for bit, the one rescaled from
+    the segments of the same window."""
+
+    @pytest.mark.parametrize("make, res", [
+        (lambda: schedule_thm11(2), None),
+        (lambda: schedule_thm11(2), 0),
+        (lambda: schedule_thm12(2), None),
+        (lambda: schedule_thm12(2), 0),
+        (lambda: schedule_tame(3), None),
+        (lambda: schedule_tame(3), 0),
+    ])
+    def test_matches_window_rescale(self, make, res):
+        sched = make()
+        gen = sched.k_max
+        mu = CantorMeasure(sched, gen, rel_resolution=res)
+        # the exact mode expands every segment, so its balls shrink to a
+        # few thousand of the shortest segments at most
+        scale = 1 if res is None else F(2) ** math.floor(
+            math.log2(1000 * sched.min_length(gen)))
+        sizes = []
+        for ball in probe_balls(sched, gen, 41, scale):
+            radii = [ball.radius * q for q in (1, F(1, 3), F(5, 2))]
+            got = list(mu.unit_windows(ball.cx, ball.cy, radii))
+            assert len(got) == len(radii)
+            for r, win in zip(radii, got):
+                want, = mu.window((ball.cx, ball.cy), r).unit_windows(
+                    ball.cx, ball.cy, [r])
+                for a, b in zip((win.s, win.e, win.y, win.m),
+                                (want.s, want.e, want.y, want.m)):
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+                sizes.append(len(win.s))
+        assert min(sizes) <= 1 and max(sizes) > 10
 
 
 class TestExactWindow:

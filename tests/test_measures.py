@@ -1,5 +1,6 @@
 """Segment/atomic measures: ball masses, atomization, text round-trips."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -193,6 +194,52 @@ class TestUnitWindow:
             else:
                 assert (win.e > win.s).all()
                 assert (win.n_segments, win.n_atoms) == (n, 0)
+
+    @staticmethod
+    def fraction_rescale(mu, cx, cy, r):
+        """The unit-window arrays ``(s, e, y, m)`` of a segment measure by
+        ``Fraction`` quotients, each rounded once to a float, then the float
+        chord clip and the density scaled by ``r`` and back."""
+        ss, ee, yy, rho = [], [], [], []
+        for seg in mu.segments:
+            y = float((seg.y - cy) / r)
+            if abs(y) > 1.0 + CLIP_REL_TOL:
+                continue
+            w = math.sqrt(max(0.0, 1.0 - min(1.0, y * y)))
+            s = max(float((seg.left.x - cx) / r), -w)
+            e = min(float((seg.right.x - cx) / r), w)
+            if e - s <= 0.0:
+                continue
+            ss.append(s)
+            ee.append(e)
+            yy.append(y)
+            rho.append(float(seg.density) * float(r))
+        s, e = np.array(ss, dtype=float), np.array(ee, dtype=float)
+        m = np.array(rho, dtype=float) * (1.0 / float(r)) * (e - s)
+        return s, e, np.array(yy, dtype=float), m
+
+    def test_int_rescale_matches_fraction_rescale(self):
+        # non-dyadic denominators everywhere, so the int rows, the centers
+        # and the radii share no common denominator
+        rng = random.Random(23)
+        for trial in range(30):
+            segs = []
+            for i in range(-4, 5):
+                cuts = sorted(rng.sample(range(-90, 91), 6))
+                segs += [WeightedSegment(
+                    RationalPoint(F(lo, 63), F(i, 11)),
+                    RationalPoint(F(hi, 63), F(i, 11)),
+                    F(rng.randrange(1, 40), rng.randrange(1, 13)))
+                    for lo, hi in zip(cuts[::2], cuts[1::2])]
+            mu = SegmentMeasure(segs)
+            cx = F(rng.randrange(-99, 100), rng.choice((3, 7, 45, 101)))
+            cy = F(rng.randrange(-30, 31), rng.choice((9, 13, 77)))
+            radii = [F(rng.randrange(1, 200), rng.choice((17, 60, 99))),
+                     F(2.0 ** rng.uniform(-6, 1)), F(1, 22)]
+            for r, win in zip(radii, mu.unit_windows(cx, cy, radii)):
+                want = self.fraction_rescale(mu, cx, cy, r)
+                for a, b in zip((win.s, win.e, win.y, win.m), want):
+                    assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name, make, box", KINDS)
     def test_nonpositive_radius_rejected(self, name, make, box):
@@ -421,3 +468,18 @@ class TestSerialization:
     def test_nonhorizontal_rejected(self):
         with pytest.raises(ValueError):
             loads_measure("S 0 0 1 1 1\n")
+
+    @pytest.mark.parametrize("first, record, reason", [
+        ("S 0 0 1 0 1", "S 0 0 1/0 0 1", "zero denominator"),
+        ("S 0 0 1 0 1", "S 1 0 0 0 1", "need left.x < right.x"),
+        ("S 0 0 1 0 1", "S 0 0 1 0 -1", "density must be nonnegative"),
+        ("S 0 0 1 0 1", "S 0 0 x 0 1", "Invalid literal"),
+        ("S 0 0 1 0 1", "Q 0 0", "unknown record kind 'Q'"),
+        ("A 0 0 1", "A 0 0", "A record needs 3 fields"),
+        ("A 0 0 1", "A 0 0 -1", "atom masses must be nonnegative"),
+        ("S 0 0 1 0 1", "A 0 0 1", "mixed segment/atom files"),
+    ])
+    def test_malformed_record_names_its_line(self, first, record, reason):
+        text = f"# header\n{first}\n\n{record}\n"
+        with pytest.raises(ValueError, match=rf"^line 4: {reason}"):
+            loads_measure(text)
