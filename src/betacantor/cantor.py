@@ -36,7 +36,8 @@ from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        to_fraction)
-from .measures import SegmentMeasure, Window, _clip_mass, _unit_window
+from .measures import (SegmentMeasure, Window, _clip_mass, _to_int_rows,
+                       _unit_window)
 
 DOWN = "d"
 UP = "u"
@@ -401,10 +402,7 @@ class CantorMeasure:
             lifts = [Fraction(0)] + list(self.sched.h[:self.gen])
             reaches = [self.sched.h_span(g, self.gen)
                        for g in range(self.gen + 1)]
-            rows = widths + pitches + [lifts, reaches]
-            d = math.lcm(*(q.denominator for row in rows for q in row))
-            ints = [[q.numerator * (d // q.denominator) for q in row]
-                    for row in rows]
+            d, ints = _to_int_rows(widths + pitches + [lifts, reaches])
             k = self.gen + 1
             self._layout = (d, ints[:k], ints[k:2 * k], ints[-2], ints[-1])
         return self._layout

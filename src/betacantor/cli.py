@@ -147,11 +147,19 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file {path} not found")
-        if path.suffix == ".toml":
-            import tomllib  # lazy: new in Python 3.11, requires-python is 3.10
-            data = tomllib.loads(path.read_text())
-        else:
-            data = json.loads(path.read_text())
+        try:
+            if path.suffix == ".toml":
+                import tomllib  # lazy: new in Python 3.11
+                data = tomllib.loads(path.read_text())
+            else:
+                data = json.loads(path.read_text())
+        except ModuleNotFoundError:
+            raise ConfigError(f"config file {path}: TOML needs Python >= "
+                              "3.11; use a JSON file") from None
+        except ValueError as exc:  # malformed JSON or TOML, or not UTF-8
+            raise ConfigError(f"config file {path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold one table")
         types = typing.get_type_hints(ExperimentConfig)
         for key, val in data.items():
             if key not in types:

@@ -70,7 +70,7 @@ class Lattice:
     def assert_invariants(self) -> None:
         """Partition, nesting, ball containment and 5B-disjointness; raises
         ``InvariantViolationError`` on any failure."""
-        xs, ys, _ = self.mu.float_arrays()
+        xs, ys, _ = self.mu.float_arrays
         all_idx = frozenset(range(len(self.mu)))
         for lvl in self.levels:
             seen: set = set()
@@ -155,7 +155,7 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0,
         raise ValueError("empty atom set")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    xs, ys, ms = mu.float_arrays()
+    xs, ys, ms = mu.float_arrays
     diam = mu.diameter()
     if diam == 0.0:
         k0 = 0
@@ -232,7 +232,7 @@ class CoronaTree:
     theta2b: Dict[int, float] = field(default_factory=dict)
 
     def mass_of(self, cube: LatticeCube) -> float:
-        _, _, ms = self.lattice.mu.float_arrays()
+        _, _, ms = self.lattice.mu.float_arrays
         return float(ms[sorted(cube.members)].sum())
 
     def root_mass_ratio(self) -> float:
@@ -280,7 +280,7 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
         raise ValueError("c_thr must exceed 1")
     mu = lattice.mu
     tree = CoronaTree(lattice, c_thr)
-    xs, ys, _ = mu.float_arrays()
+    xs, ys, _ = mu.float_arrays
 
     total = float(mu.total_mass)
 
@@ -356,7 +356,7 @@ def packing_report(tree: CoronaTree, grid: ScaleGrid,
     total = float(mu.total_mass)
     rhs_mass = c_star * total
 
-    xs, ys, ms = mu.float_arrays()
+    xs, ys, ms = mu.float_arrays
     n = len(xs)
     if beta_sample is None or beta_sample >= n:
         rhs_beta = 0.0

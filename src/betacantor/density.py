@@ -274,16 +274,15 @@ def restricted_maximal_comparison(
     ax = np.array([float(c[0]) for c in family.balls])
     ay = np.array([float(c[1]) for c in family.balls])
     ar = np.array([float(c[2]) for c in family.balls])
-    xs, ys, ms = mu.float_arrays()
+    xs, ys, ms = mu.float_arrays
     covered_mask = np.zeros(len(xs), dtype=bool)
     for cx, cy, r in zip(ax, ay, ar):
         covered_mask |= (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-    covered = AtomicMeasure(
-        [a for a, keep in zip(mu.atoms, covered_mask) if keep and a[2] > 0])
+    covered = mu.subset(covered_mask & (ms > 0))
 
     lhs = 0.0
-    for x, y, m in covered.atoms:
-        lhs += float(m) * maximal_function(covered, (x, y), grid)
+    for x, y, m in zip(*(a.tolist() for a in covered.float_arrays)):
+        lhs += m * maximal_function(covered, (x, y), grid)
 
     rhs = 0.0
     for seg, m in zip(mu_tilde.segments, family.masses):

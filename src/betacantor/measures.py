@@ -10,8 +10,9 @@ Two concrete representations are used throughout:
   for the lattice/corona machinery and for oracle tests).
 
 Every measure kind (these two and the lazy ``cantor.CantorMeasure``,
-together ``AnyMeasure``) answers the ball-mass protocol (the first two
-methods) and the window protocol (the last two):
+together ``AnyMeasure``) keeps its exact data as int pieces of the one piece
+core below, an atom being a piece of width 0, and answers the ball-mass
+protocol (the first two methods) and the window protocol (the last two):
 
 * ``ball_mass(ball) -> Fraction`` -- the exact mass of a closed ball;
 * ``ball_masses(cx, cy, radii) -> np.ndarray`` -- float masses of the
@@ -155,9 +156,22 @@ def centered_moments(m, sx, sy, sxx, syy, sxy):
 
 
 # ---------------------------------------------------------------------------
-# the segment core: pieces (y, x, w, m), ints over one denominator u, each the
-# segment [x, x + w] x {y} of mass m (density m / w)
+# the piece core: pieces (y, x, w, m), ints over one denominator u, each the
+# segment [x, x + w] x {y} of mass m (density m / w), or for w == 0 the atom
+# of mass m at (x, y)
 # ---------------------------------------------------------------------------
+
+def _to_int_rows(rows: Iterable[Sequence[Fraction]],
+                 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """``(u, rows)``: rows of rationals as ints over their least common
+    denominator ``u``, in order.  On coprime denominators ``u`` grows with
+    the row count and slows every exact clip (20x on 1000 segments);
+    grouping rows by denominator is still open."""
+    rows = list(rows)
+    u = math.lcm(*(q.denominator for row in rows for q in row))
+    return u, tuple(tuple(q.numerator * (u // q.denominator) for q in row)
+                    for row in rows)
+
 
 def _lift(u: int, ball: Ball) -> Tuple[int, int, int, int, int]:
     """``(v, v // u, cx, cy, r)``: the ball as ints over ``v = lcm(u, den
@@ -171,17 +185,23 @@ def _lift(u: int, ball: Ball) -> Tuple[int, int, int, int, int]:
 
 def _clip_mass(u: int, rows: Iterable[Tuple[int, int, int, int]],
                ball: Ball) -> Fraction:
-    """The exact mass of the pieces in the closed ball.  Each line is cut
-    to one :func:`half_chord` and the clipped masses are summed as ints
-    over ``v`` (times the denominator of an irrational chord's dyadic
-    float); a fraction is made only per distinct denominator."""
+    """The exact mass of the pieces in the closed ball.  An atom counts when
+    ``dx^2 + dy^2 <= r^2`` in ints.  A segment's line is cut to one
+    :func:`half_chord` and the clipped masses are summed as ints over ``v``
+    (times the denominator of an irrational chord's dyadic float)."""
     v, k, cx, cy, r = _lift(u, ball)
     r2, v2 = r * r, v * v
     # per line: None when the chord misses, else (lo, hi, s) over v * s
     chords: Dict[int, Optional[Tuple[int, int, int]]] = {}
     # clipped masses clip * m / w as numerators over v * s * w, per (s, w)
     sums: Dict[Tuple[int, int], int] = {}
+    atoms = 0  # atom masses inside, over u
     for y, x, w, m in rows:
+        if not w:
+            dx, dy = x * k - cx, y * k - cy
+            if dx * dx + dy * dy <= r2:
+                atoms += m
+            continue
         if y not in chords:
             dy = y * k - cy
             w2 = r2 - dy * dy
@@ -201,7 +221,7 @@ def _clip_mass(u: int, rows: Iterable[Tuple[int, int, int, int]],
         if lo < hi:
             sums[s, w] = sums.get((s, w), 0) + (hi - lo) * m
     return sum((Fraction(n, v * s * w) for (s, w), n in sums.items()),
-               Fraction(0))
+               Fraction(atoms, u))
 
 
 def _unit_window(u: int, rows: Iterable[Tuple[int, int, int, int]],
@@ -252,25 +272,18 @@ class SegmentMeasure:
     def total_mass(self) -> Fraction:
         return sum((s.mass for s in self.segments), Fraction(0))
 
-    def float_arrays(self):
-        """Cached float mirrors ``(s, e, y, rho)`` for vectorized numerics."""
-        if not hasattr(self, "_floats"):
-            ss = np.array([float(s.left.x) for s in self.segments])
-            ee = np.array([float(s.right.x) for s in self.segments])
-            yy = np.array([float(s.y) for s in self.segments])
-            rr = np.array([float(s.density) for s in self.segments])
-            object.__setattr__(self, "_floats", (ss, ee, yy, rr))
-        return self._floats  # type: ignore[attr-defined]
+    @cached_property
+    def float_arrays(self) -> Tuple[np.ndarray, ...]:
+        """Float mirrors ``(s, e, y, rho)`` for vectorized numerics."""
+        return tuple(np.array(
+            [(float(s.left.x), float(s.right.x), float(s.y), float(s.density))
+             for s in self.segments], dtype=float).reshape(-1, 4).T.copy())
 
     @cached_property
-    def _int_rows(self) -> Tuple[int, List[Tuple[int, int, int, int]]]:
-        """``(u, rows)``: the segments in order as pieces ``(y, x, w, m)``
-        over one denominator ``u``."""
-        u = math.lcm(*(q.denominator for s in self.segments
-                       for q in (s.left.x, s.right.x, s.y, s.mass)))
-        return u, [tuple(q.numerator * (u // q.denominator)
-                         for q in (s.y, s.left.x, s.length, s.mass))
-                   for s in self.segments]
+    def _int_rows(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """The segments in order as pieces ``(y, x, w, m)`` over ``u``."""
+        return _to_int_rows((s.y, s.left.x, s.length, s.mass)
+                            for s in self.segments)
 
     def ball_mass(self, ball: Ball) -> Fraction:
         """:func:`_clip_mass` of the segments."""
@@ -279,7 +292,7 @@ class SegmentMeasure:
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
         """Float chord masses of ``B((cx, cy), r)`` for each radius."""
-        ss, ee, yy, rr = self.float_arrays()
+        ss, ee, yy, rr = self.float_arrays
         dy2 = (yy - cy) ** 2
         out = np.empty(len(radii))
         for i, r in enumerate(radii):
@@ -308,10 +321,6 @@ class SegmentMeasure:
                              seg.y))
         return sorted(centers)
 
-    def diameter(self) -> float:
-        return diameter((x, s.y) for s in self.segments
-                        for x in (s.left.x, s.right.x))
-
     def check_disjoint(self) -> None:
         """Raise ``ValueError`` if two segments overlap in the interior.
 
@@ -333,48 +342,59 @@ class SegmentMeasure:
 class AtomicMeasure:
     """A finite collection of point masses.
 
-    Coordinates and masses are stored as exact rationals (floats are
-    converted losslessly), so ball masses against rational balls are exact.
-    Float mirrors are cached for the numeric engines.
+    The atoms are held in order as pieces ``(y, x, 0, m)`` of the piece
+    core (floats are converted losslessly, or ``int_rows = (u, rows)`` are
+    taken as given), so ball masses against rational balls are exact.
+    :attr:`atoms` and :meth:`points` build fractions on demand.
     """
 
-    atoms: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    _int_rows: Tuple[int, Tuple[Tuple[int, ...], ...]]
 
-    def __init__(self, atoms: Iterable[Tuple[Scalar, Scalar, Scalar]]):
-        norm = []
-        for x, y, m in atoms:
-            m = to_fraction(m)
-            if m < 0:
+    def __init__(self, atoms: Iterable[Tuple[Scalar, Scalar, Scalar]] = (),
+                 int_rows: Optional[Tuple[int, tuple]] = None):
+        if int_rows is None:
+            rows = [(to_fraction(y), to_fraction(x), 0, to_fraction(m))
+                    for x, y, m in atoms]
+            if any(row[3] < 0 for row in rows):
                 raise ValueError("atom masses must be nonnegative")
-            norm.append((to_fraction(x), to_fraction(y), m))
-        object.__setattr__(self, "atoms", tuple(norm))
+            int_rows = _to_int_rows(rows)
+        object.__setattr__(self, "_int_rows", int_rows)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._int_rows[1])
+
+    @property
+    def atoms(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+        """The atoms as exact ``(x, y, mass)`` triples."""
+        u, rows = self._int_rows
+        return tuple((Fraction(x, u), Fraction(y, u), Fraction(m, u))
+                     for y, x, _, m in rows)
 
     @property
     def total_mass(self) -> Fraction:
-        return sum((m for _, _, m in self.atoms), Fraction(0))
+        u, rows = self._int_rows
+        return Fraction(sum(row[3] for row in rows), u)
 
-    def float_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not hasattr(self, "_floats"):
-            xs = np.array([float(x) for x, _, _ in self.atoms])
-            ys = np.array([float(y) for _, y, _ in self.atoms])
-            ms = np.array([float(m) for _, _, m in self.atoms])
-            object.__setattr__(self, "_floats", (xs, ys, ms))
-        return self._floats  # type: ignore[attr-defined]
+    @cached_property
+    def float_arrays(self) -> Tuple[np.ndarray, ...]:
+        """Float mirrors ``(x, y, m)``, each one int / int division,
+        correctly rounded like ``float(Fraction)``."""
+        u, rows = self._int_rows
+        return tuple(np.array([(x / u, y / u, m / u) for y, x, _, m in rows],
+                              dtype=float).reshape(-1, 3).T.copy())
 
     def points(self) -> List[Tuple[Fraction, Fraction]]:
         return [(x, y) for x, y, _ in self.atoms]
 
+    def subset(self, keep: Sequence[bool]) -> AtomicMeasure:
+        """The atoms at the true entries of the row mask ``keep``."""
+        u, rows = self._int_rows
+        return AtomicMeasure(int_rows=(u, tuple(r for r, k in zip(rows, keep)
+                                                if k)))
+
     def ball_mass(self, ball: Ball) -> Fraction:
-        """Exact sum of the atom masses inside the closed ball."""
-        total = Fraction(0)
-        r2 = ball.radius * ball.radius
-        for x, y, m in self.atoms:
-            if (x - ball.cx) ** 2 + (y - ball.cy) ** 2 <= r2:
-                total += m
-        return total
+        """:func:`_clip_mass` of the atoms."""
+        return _clip_mass(*self._int_rows, ball)
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
@@ -385,7 +405,7 @@ class AtomicMeasure:
         radii = np.asarray(radii, dtype=float)
         if radii.size == 0:
             return np.zeros(0)
-        xs, ys, ms = self.float_arrays()
+        xs, ys, ms = self.float_arrays
         d = np.hypot(xs - cx, ys - cy)
         near = d <= radii.max()
         d = d[near]
@@ -399,7 +419,7 @@ class AtomicMeasure:
         in index order, with the squared distances computed once; the
         membership test runs in floats with tolerance ``CLIP_REL_TOL``
         relative to the radius."""
-        xs, ys, ms = self.float_arrays()
+        xs, ys, ms = self.float_arrays
         fcx, fcy = float(cx), float(cy)
         fr = [float(r) for r in radii]
         lim = [(r * (1.0 + CLIP_REL_TOL)) ** 2 for r in fr]
@@ -422,7 +442,7 @@ class AtomicMeasure:
         return centers
 
     def diameter(self) -> float:
-        xs, ys, _ = self.float_arrays()
+        xs, ys, _ = self.float_arrays
         return diameter(zip(xs.tolist(), ys.tolist()))
 
 
@@ -432,28 +452,21 @@ AnyMeasure = Union[SegmentMeasure, AtomicMeasure, "CantorMeasure"]
 def atomize(mu: SegmentMeasure, spacing: Scalar) -> AtomicMeasure:
     """Split each segment into equal-mass atoms at sub-interval midpoints.
 
-    The per-segment atom count ``n`` is chosen so that the atom spacing is
-    strictly below ``spacing``.  Atom positions and masses stay rational:
-    atom ``i`` sits at ``left + length (2i + 1) / (2n)``, built from
-    integer numerators over one denominator per segment.
+    A segment of length ``L`` gets ``n = floor(L / spacing) + 1`` atoms, the
+    fewest whose spacing ``L / n`` is strictly below ``spacing``.  The first
+    atom and the step of each segment go over one common denominator, and
+    each atom is one int row from them, with no fraction per atom.
     """
     spacing = to_fraction(spacing)
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    atoms: List[Tuple[Fraction, Fraction, Fraction]] = []
-    for seg in mu.segments:
-        length = seg.length
-        n = max(1, int(math.ceil(length / spacing)))
-        if Fraction(length, n) >= spacing:
-            n += 1
-        m = Fraction(seg.mass, n)
-        left = seg.left.x
-        den = 2 * n * left.denominator * length.denominator
-        base = 2 * n * left.numerator * length.denominator
-        unit = length.numerator * left.denominator
-        atoms.extend((Fraction(base + unit * (2 * i + 1), den), seg.y, m)
-                     for i in range(n))
-    return AtomicMeasure(atoms)
+    counts = [s.length // spacing + 1 for s in mu.segments]
+    u, firsts = _to_int_rows(
+        (s.y, s.left.x + s.length / (2 * n), s.length / n, s.mass / n)
+        for s, n in zip(mu.segments, counts))
+    return AtomicMeasure(int_rows=(u, tuple(
+        (y, x + i * step, 0, m)
+        for (y, x, step, m), n in zip(firsts, counts) for i in range(n))))
 
 
 # ---------------------------------------------------------------------------

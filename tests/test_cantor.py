@@ -220,7 +220,7 @@ class TestWindowedGeneration:
         import numpy as np
         sched = schedule_thm11(2)
         full = generate(sched, 1)  # 32770 segments, still enumerable
-        ss, ee, yy, _ = full.float_arrays()
+        ss, ee, yy, _ = full.float_arrays
         rng = random.Random(9)
         for _ in range(100):
             center = (F(rng.randrange(-4, 20), 16),

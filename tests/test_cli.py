@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -78,6 +79,21 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"no_such_key": 1}))
         assert run("--config", str(path), "generate") == 2
+
+    @pytest.mark.parametrize("name, text, hide_tomllib", [
+        ("c.json", "{not json", False),
+        ("c.json", "[1, 2]", False),
+        ("c.toml", "k_max = ", False),
+        ("c.toml", "k_max = 1", True),  # Python 3.10 has no tomllib
+    ])
+    def test_malformed_config_file(self, tmp_path, monkeypatch, capsys,
+                                   name, text, hide_tomllib):
+        if hide_tomllib:
+            monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("--config", str(path), "generate") == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_schedule_budget_exhaustion(self, tmp_path):
         assert run("--flavor", "thm11", "--k-max", "12",

@@ -220,7 +220,7 @@ class TestMaximalViaCorona:
             lat = build_lattice(mu, depth=2)
             tree = corona_decompose(lat, 2.0)
             bounds = maximal_via_corona(tree)
-            xs, ys, ms = mu.float_arrays()
+            xs, ys, ms = mu.float_arrays
             grid = ScaleGrid(1e-3, 4.0)
             for i in range(len(mu)):
                 direct = maximal_function(mu, (xs[i], ys[i]), grid)

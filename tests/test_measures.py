@@ -99,6 +99,79 @@ class TestBallMass:
         assert both.ball_mass(ball) == a.ball_mass(ball) + b.ball_mass(ball)
 
 
+def atom_mass(atoms, ball):
+    """The exact mass of ``(x, y, m)`` atoms in a closed ball: one
+    ``Fraction`` test per atom."""
+    r2 = ball.radius * ball.radius
+    return sum((F(m) for x, y, m in atoms
+                if (F(x) - ball.cx) ** 2 + (F(y) - ball.cy) ** 2 <= r2), F(0))
+
+
+class TestAtomsAgainstFractionLoop:
+    """``AtomicMeasure`` on its int rows against test-local ``Fraction``
+    loops: ball masses, the total mass and the float mirrors."""
+
+    @staticmethod
+    def clouds():
+        rng = random.Random(17)
+        # float-given atoms, about a quarter of them massless
+        yield [(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                0.0 if rng.random() < 0.25 else rng.uniform(0, 2))
+               for _ in range(200)]
+        # pairwise coprime denominators, zero masses included
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        yield [(F(rng.randrange(-60, 60), p), F(rng.randrange(-60, 60), q),
+                F(rng.randrange(0, 4), p * q))
+               for p, q in zip(primes, primes[1:]) for _ in range(10)]
+        # atoms exactly on the sphere |z - (1/3, -2/7)| = 5/11, from
+        # Pythagorean offsets, and atoms just outside it
+        cx, cy, r = F(1, 3), F(-2, 7), F(5, 11)
+        sphere = [(cx + dx * r, cy + dy * r, F(1, k))
+                  for k, (dx, dy) in enumerate(
+                      [(F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)), (1, 0),
+                       (0, -1), (F(-5, 13), F(-12, 13))], start=2)]
+        grow = 1 + F(1, 10 ** 9)
+        outside = [(cx + (x - cx) * grow, cy + (y - cy) * grow, m)
+                   for x, y, m in sphere[:2]]
+        yield sphere + outside + [(cx, cy, 0)]
+
+    @staticmethod
+    def balls(atoms, rng):
+        yield Ball((F(1, 3), F(-2, 7)), F(5, 11))
+        for x, y, _ in atoms[:5]:
+            yield Ball((F(x), F(y)), F(rng.randrange(1, 40), 17))
+        for _ in range(20):
+            yield Ball((F(rng.randrange(-20, 20), 13),
+                        F(rng.randrange(-20, 20), 11)),
+                       F(rng.randrange(1, 30), rng.randrange(1, 20)))
+
+    def test_ball_mass_total_and_floats(self):
+        rng = random.Random(3)
+        for atoms in self.clouds():
+            mu = AtomicMeasure(atoms)
+            for ball in self.balls(atoms, rng):
+                assert mu.ball_mass(ball) == atom_mass(atoms, ball)
+            assert mu.total_mass == sum((F(m) for _, _, m in atoms), F(0))
+            for got, col in zip(mu.float_arrays, zip(*atoms)):
+                want = np.array([float(F(v)) for v in col])
+                assert got.tobytes() == want.tobytes()
+            keep = [i % 3 == 0 for i in range(len(atoms))]
+            assert mu.subset(keep).atoms == tuple(
+                a for a, k in zip(mu.atoms, keep) if k)
+
+    def test_sphere_atoms_count_and_outside_ones_do_not(self):
+        sphere_cloud = list(self.clouds())[-1]
+        mu = AtomicMeasure(sphere_cloud)
+        ball = Ball((F(1, 3), F(-2, 7)), F(5, 11))
+        assert mu.ball_mass(ball) == sum(F(1, k) for k in range(2, 7))
+
+    def test_empty(self):
+        mu = AtomicMeasure([])
+        assert mu.ball_mass(Ball((0, 0), 1)) == 0
+        assert mu.total_mass == 0 and len(mu) == 0
+        assert [a.shape for a in mu.float_arrays] == [(0,)] * 3
+
+
 def segment_union(seed):
     rng = random.Random(seed)
     return SegmentMeasure([
@@ -135,7 +208,7 @@ class TestBallMasses:
 
     def test_atom_cloud(self):
         mu = atom_cloud(8)
-        xs, ys, _ = mu.float_arrays()
+        xs, ys, _ = mu.float_arrays
         for cx, cy in self.CENTERS:
             d = ((xs - cx) ** 2 + (ys - cy) ** 2) ** 0.5
             # membership is decided far from rounding
@@ -304,7 +377,7 @@ class TestBallMoments:
         # the atom windows are the direct restriction of the float mirrors,
         # in index order, so their sums add in the same order
         mu = atom_cloud(31)
-        xs, ys, ms = mu.float_arrays()
+        xs, ys, ms = mu.float_arrays
         cx, cy = F(1, 3), F(2, 7)
         wins = mu.unit_windows(cx, cy, self.RADII)
         for r, win in zip(self.RADII, wins):
