@@ -14,10 +14,13 @@ Faithful schedules force the vertical steps to collapse extremely fast
 has ~2^45 segments, so everything here is built around one *lazy, window
 restricted* descent (``CantorMeasure``).  It is exact: its coordinates are
 Python ints over one common denominator (the lcm of the layout's, fixed
-per schedule and generation, and the query ball's), which the segment core
-of ``measures`` clips and rescales as they are.  By default it collapses
-sub-resolution periodic runs of children into equivalent uniform segments
-(mass preserved exactly); at resolution 0 it returns the exact restriction.
+per schedule and generation, and those of the center and every radius of
+one query), which the segment core of ``measures`` clips and rescales as
+they are.  By default it collapses sub-resolution periodic runs of children
+into equivalent uniform segments (mass preserved exactly); at resolution 0
+it returns the exact restriction.  Ball masses run one mass descent per
+center, in which children wholly inside a ball add their mass without being
+expanded or clipped; windows still emit every piece.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (InvariantViolationError, ResourceBudgetError,
                      ScheduleExhaustedError)
 from .geometry import (Ball, RationalPoint, Scalar, WeightedSegment,
                        to_fraction)
-from .measures import (SegmentMeasure, Window, _clip_mass, _to_int_rows,
+from .measures import (SegmentMeasure, Window, _clip_ints, _to_int_rows,
                        _unit_window)
 
 DOWN = "d"
@@ -358,6 +361,14 @@ class CantorMeasure:
     ``gen`` segments that meet the closed ball.  In either mode the descent
     visits at most ``MAX_NODES`` tree nodes and raises
     ``ResourceBudgetError`` before it would visit more.
+
+    ``ball_mass`` and ``ball_masses`` share one mass descent per center:
+    its denominator and scaled layout serve every radius, the children
+    wholly inside a ball add their mass by index arithmetic without being
+    pushed, and only the pieces that may cross the sphere are clipped.  The
+    masses equal the clip of the full window exactly, and the budget still
+    counts every node the window would visit.  ``window`` and
+    ``unit_windows`` emit every piece.
     """
 
     #: default run-collapse threshold: pitches below radius/64 are smeared;
@@ -407,81 +418,146 @@ class CantorMeasure:
             self._layout = (d, ints[:k], ints[k:2 * k], ints[-2], ints[-1])
         return self._layout
 
-    def _descend(self, ball: Ball,
-                 ) -> Tuple[int, List[Tuple[int, int, int, int]]]:
-        """The one tree descent behind :meth:`window`, :meth:`ball_mass`
-        and :meth:`unit_windows`: ``(u, out)``, one ``(y, x, w, m)`` per
-        window segment, ints over the common denominator ``u``: ``[x, x +
-        w] x {y}`` of mass ``m`` (``m == w`` for unit density), unsorted;
-        the pieces are disjoint, so no two share ``(y, x)``."""
-        # enlarge so segments touching the closed ball, and runs blurred by
-        # up to one pitch, are never missed
-        big_r = ball.radius * (1 + self.rel_resolution)
+    def _descend(self, cx: Fraction, cy: Fraction, radii: Sequence[Scalar],
+                 count_inside: bool) -> Iterator[Tuple[
+                     Fraction, Tuple[int, ...],
+                     List[Tuple[int, int, int, int]], int]]:
+        """The one tree descent behind every query, run per radius around
+        one center: per ball ``B((cx, cy), r)``, ``(r, (u, 1, cx, cy, r),
+        out, inside)``, the ball as ints over ``u`` as ``_lift`` gives it,
+        where ``u`` is the common denominator of the layout, the center and
+        every radius.  ``out`` holds one ``(y, x, w, m)`` per window
+        segment, ints over ``u``: ``[x, x + w] x {y}`` of mass ``m`` (``m ==
+        w`` for unit density), unsorted; the pieces are disjoint, so no two
+        share ``(y, x)``.
+
+        With ``count_inside`` (mass queries), the kids of a run whose reach
+        boxes ``[x, x + w] x [y, y + reach]`` have all four corners in the
+        true closed ball are found by index arithmetic and not pushed: their
+        masses add to the int ``inside``, and ``out`` keeps only the pieces
+        that may cross the sphere.  Aggregated runs are always emitted
+        whole, because they smear their mass over the gaps.  Without it
+        (windows), every piece is emitted and ``inside`` is 0.  In both
+        modes a run that lies wholly above or below the enlarged ball is
+        not pushed.
+
+        The budget counts every node a descent without these shortcuts
+        would push, the subtrees of inside kids included, so it fires on the
+        same balls in both modes."""
+        radii = [to_fraction(r) for r in radii]
+        if any(r.numerator <= 0 for r in radii):
+            raise ValueError("radius must be positive")
+        p, q = self.rel_resolution.numerator, self.rel_resolution.denominator
         d, widths, pitches, lifts, reaches = self._int_layout()
-        # every coordinate below is an int over the common denominator u
-        u = math.lcm(d, ball.cx.denominator, ball.cy.denominator,
-                     big_r.denominator)
+        # every coordinate below is an int over the common denominator u;
+        # q divides every radius over u, so r * p / q is exact
+        u = math.lcm(d, cx.denominator, cy.denominator,
+                     *(radius.denominator * q for radius in radii))
         if u != d:
             k = u // d
             widths = [[v * k for v in row] for row in widths]
             pitches = [[v * k for v in row] for row in pitches]
             lifts = [v * k for v in lifts]
             reaches = [v * k for v in reaches]
-        cx = ball.cx.numerator * (u // ball.cx.denominator)
-        cy = ball.cy.numerator * (u // ball.cy.denominator)
-        rr = big_r.numerator * (u // big_r.denominator)
-        rr2 = rr * rr
-        lo_x, hi_x = cx - rr, cx + rr
-        # a length L (over u) is below the resolution when L * res_d < res_n
-        res = self.rel_resolution * ball.radius * u
-        res_n, res_d = res.numerator, res.denominator
-        flat = [reach * res_d <= res_n for reach in reaches]
-        out: List[Tuple[int, int, int, int]] = []
-        stack: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
-        # every stacked node is visited, so the budget is checked on push
-        pushed = 1
-        while stack:
-            x, y, g, c = stack.pop()
-            w = widths[g][c]
-            dx = max(0, x - cx, cx - x - w)
-            dy = max(0, y - cy, cy - y - reaches[g])
-            if dx * dx + dy * dy > rr2:
-                continue
-            if g == self.gen or (flat[g] and w * res_d < res_n):
-                # a leaf, or a whole subtree below resolution: its segments
-                # live in this x span, within the reach above, with total
-                # mass exactly this node's
-                out.append((y, x, w, w))
-                continue
-            g += 1
-            n = self.sched.n_of(g)
-            for kid in (2 * c, 2 * c + 1):
-                kid_w, pitch = widths[g][kid], pitches[g][kid]
-                i_lo = max(0, -((x + kid_w - lo_x) // pitch))
-                i_hi = min(n - 1, (hi_x - x) // pitch)
-                if i_lo > i_hi:
+        center = cx, cy
+        cx = cx.numerator * (u // cx.denominator)
+        cy = cy.numerator * (u // cy.denominator)
+        gen, n_of = self.gen, self.sched.n_of
+        for radius in radii:
+            r = radius.numerator * (u // radius.denominator)
+            # enlarge so segments touching the closed ball, and runs blurred
+            # by up to one pitch, are never missed
+            rr = r // q * (q + p)
+            r2, rr2 = r * r, rr * rr
+            lo_x, hi_x = cx - rr, cx + rr
+            # a length L (over u) is below the resolution when L * res_d <
+            # res_n
+            res_n, res_d = r * p, q
+            flat = [reach * res_d <= res_n for reach in reaches]
+            below: Dict[Tuple[int, int], int] = {}
+
+            def pushes_below(g: int, c: int) -> int:
+                """The nodes pushed under a node the descent would expand
+                whole (every kid in range, none missing the ball)."""
+                if (g, c) not in below:
+                    total = 0
+                    if g < gen and not (flat[g]
+                                        and widths[g][c] * res_d < res_n):
+                        for kid in (2 * c, 2 * c + 1):
+                            if not (flat[g + 1]
+                                    and pitches[g + 1][kid] * res_d < res_n):
+                                total += n_of(g + 1) * (
+                                    1 + pushes_below(g + 1, kid))
+                    below[g, c] = total
+                return below[g, c]
+
+            out: List[Tuple[int, int, int, int]] = []
+            inside = 0
+            stack: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+            # every stacked node is visited, so the budget is checked on push
+            pushed = 1
+            while stack:
+                x, y, g, c = stack.pop()
+                w = widths[g][c]
+                dx = max(0, x - cx, cx - x - w)
+                dy = max(0, y - cy, cy - y - reaches[g])
+                if dx * dx + dy * dy > rr2:
                     continue
-                kid_y = y + lifts[g] if kid & 1 else y
-                count = i_hi - i_lo + 1
-                if flat[g] and pitch * res_d < res_n:
-                    # the run as one uniform segment of the same mass
-                    out.append((kid_y, x + i_lo * pitch,
-                                (count - 1) * pitch + kid_w, count * kid_w))
+                if g == gen or (flat[g] and w * res_d < res_n):
+                    # a leaf, or a whole subtree below resolution: its
+                    # segments live in this x span, within the reach above,
+                    # with total mass exactly this node's
+                    out.append((y, x, w, w))
                     continue
-                pushed += count
-                if pushed > MAX_NODES:
-                    raise ResourceBudgetError(
-                        f"window descent at center ({float(ball.cx):g}, "
-                        f"{float(ball.cy):g}), radius {float(ball.radius):g} "
-                        f"visits more than {MAX_NODES} nodes; coarsen "
-                        f"rel_resolution (now {self.rel_resolution}) or "
-                        f"shrink the window")
-                stack.extend((x + i * pitch, kid_y, g, kid)
-                             for i in range(i_lo, i_hi + 1))
-        return u, out
+                g += 1
+                n = n_of(g)
+                reach = reaches[g]
+                for kid in (2 * c, 2 * c + 1):
+                    kid_w, pitch = widths[g][kid], pitches[g][kid]
+                    i_lo = max(0, -((x + kid_w - lo_x) // pitch))
+                    i_hi = min(n - 1, (hi_x - x) // pitch)
+                    if i_lo > i_hi:
+                        continue
+                    kid_y = y + lifts[g] if kid & 1 else y
+                    count = i_hi - i_lo + 1
+                    if flat[g] and pitch * res_d < res_n:
+                        # the run as one uniform segment of the same mass
+                        out.append((kid_y, x + i_lo * pitch,
+                                    (count - 1) * pitch + kid_w,
+                                    count * kid_w))
+                        continue
+                    pushed += count
+                    # kids a .. b - 1 lie inside: their x spans fit in the
+                    # half chord h at the farther height of their boxes
+                    a = b = i_hi + 1
+                    if count_inside:
+                        fy = max(cy - kid_y, kid_y + reach - cy)
+                        if fy <= r:
+                            h = math.isqrt(r2 - fy * fy)
+                            a = min(b, max(i_lo, -((x + h - cx) // pitch)))
+                            b = max(a, min(i_hi, (cx + h - kid_w - x)
+                                           // pitch) + 1)
+                            inside += (b - a) * kid_w
+                            pushed += (b - a) * pushes_below(g, kid)
+                    if pushed > MAX_NODES:
+                        raise ResourceBudgetError(
+                            f"window descent at center ({float(center[0]):g}"
+                            f", {float(center[1]):g}), radius "
+                            f"{float(radius):g} visits more than {MAX_NODES} "
+                            f"nodes; coarsen rel_resolution (now "
+                            f"{self.rel_resolution}) or shrink the window")
+                    if kid_y - cy > rr or cy - kid_y - reach > rr:
+                        continue  # the whole run is above or below the ball
+                    stack.extend((x + i * pitch, kid_y, g, kid)
+                                 for i in range(i_lo, a))
+                    stack.extend((x + i * pitch, kid_y, g, kid)
+                                 for i in range(b, i_hi + 1))
+            yield radius, (u, 1, cx, cy, r), out, inside
 
     def window(self, center, radius: Scalar) -> SegmentMeasure:
-        u, out = self._descend(Ball(center, radius))
+        ball = Ball(center, radius)
+        (_, (u, *_), out, _), = self._descend(ball.cx, ball.cy,
+                                              [ball.radius], False)
         out.sort()
         return SegmentMeasure(
             (WeightedSegment(RationalPoint(Fraction(x, u), Fraction(y, u)),
@@ -490,25 +566,37 @@ class CantorMeasure:
              for y, x, w, m in out),
             generation=self.gen)
 
+    def _masses(self, cx: Fraction, cy: Fraction, radii: Sequence[Scalar],
+                ) -> Iterator[Tuple[int, int]]:
+        """The one mass descent: per radius, the exact mass of the window
+        around ``B((cx, cy), r)`` in the ball as ``(num, den)``, the
+        :func:`_clip_ints` of the pieces not wholly inside plus the inside
+        mass."""
+        for _, ball, out, inside in self._descend(cx, cy, radii, True):
+            num, den = _clip_ints(*ball, out)
+            yield num + inside * (den // ball[0]), den
+
     def ball_mass(self, ball: Ball) -> Fraction:
-        """:func:`_clip_mass` of the window around the ball: the true mass
+        """The mass of the window around the ball in the ball: the true mass
         at ``rel_resolution=0``, the aggregated window's otherwise."""
-        return _clip_mass(*self._descend(ball), ball)
+        (num, den), = self._masses(ball.cx, ball.cy, [ball.radius])
+        return Fraction(num, den)
 
     def ball_masses(self, cx: float, cy: float,
                     radii: Sequence[float]) -> np.ndarray:
-        """The masses of ``B((cx, cy), r)`` as in :meth:`ball_mass`,
-        rounded to floats."""
-        return np.array([float(self.ball_mass(Ball((cx, cy), r)))
-                         for r in radii], dtype=float)
+        """The masses of ``B((cx, cy), r)`` as in :meth:`ball_mass`, from
+        one descent call, each rounded to a float by one int / int division
+        (correctly rounded like ``float(Fraction)``)."""
+        return np.array([num / den for num, den in self._masses(
+            to_fraction(cx), to_fraction(cy), radii)], dtype=float)
 
     def unit_windows(self, cx: Fraction, cy: Fraction,
                      radii: Sequence[Scalar]) -> Iterator[Window]:
         """:func:`_unit_window` of the lazy window around each ``B((cx,
         cy), r)``, its pieces sorted by ``(y, x)`` as in :meth:`window`."""
-        for ball in (Ball((cx, cy), r) for r in radii):
-            u, out = self._descend(ball)
-            yield _unit_window(u, sorted(out), ball)
+        cx, cy = to_fraction(cx), to_fraction(cy)
+        for r, (u, *_), out, _ in self._descend(cx, cy, radii, False):
+            yield _unit_window(u, sorted(out), Ball((cx, cy), r))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

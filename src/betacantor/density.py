@@ -188,18 +188,17 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     radii = [rho * Fraction(1, 2 ** i) for i in range(8)]
     centers = mu.candidate_centers(rho, seed, max_centers)
 
-    # screening in floats: (mass, center, radius) for every passing ball;
-    # the dilated mass is only needed where the ball itself has mass
+    # screening in floats: (mass, center, radius) for every passing ball
+    # with mass; one call per center takes the radii and their dilates
     candidates: List[Tuple[float, Fraction, Fraction, Fraction]] = []
     fradii = [float(r) for r in radii]
+    both = fradii + [lam * r for r in fradii]
     for cx, cy in centers:
-        fx, fy = float(cx), float(cy)
-        masses = mu.ball_masses(fx, fy, fradii)
-        live = [i for i, m in enumerate(masses) if m > 0]
-        dilated = mu.ball_masses(fx, fy, [lam * fradii[i] for i in live])
-        for i, m_lam in zip(live, dilated):
-            m = float(masses[i])
-            if all(doubling_growth(m, m_lam, fradii[i], lam, c_star)):
+        found = mu.ball_masses(float(cx), float(cy), both)
+        for i, m_lam in enumerate(found[len(fradii):]):
+            m = float(found[i])
+            if m > 0 and all(doubling_growth(m, m_lam, fradii[i], lam,
+                                             c_star)):
                 candidates.append((m, cx, cy, radii[i]))
 
     # greedy order: decreasing mass, lexicographic center, larger radius

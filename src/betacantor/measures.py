@@ -185,11 +185,22 @@ def _lift(u: int, ball: Ball) -> Tuple[int, int, int, int, int]:
 
 def _clip_mass(u: int, rows: Iterable[Tuple[int, int, int, int]],
                ball: Ball) -> Fraction:
-    """The exact mass of the pieces in the closed ball.  An atom counts when
-    ``dx^2 + dy^2 <= r^2`` in ints.  A segment's line is cut to one
+    """The exact mass of the pieces in the closed ball: :func:`_clip_ints`
+    of the pieces and the :func:`_lift` of the ball, as a ``Fraction``."""
+    return Fraction(*_clip_ints(*_lift(u, ball), rows))
+
+
+def _clip_ints(v: int, k: int, cx: int, cy: int, r: int,
+               rows: Iterable[Tuple[int, int, int, int]]) -> Tuple[int, int]:
+    """``(num, den)``: the exact mass of pieces over ``u = v // k`` in the
+    closed ball ``B((cx, cy), r)`` of ints over ``v``, as ``num / den``,
+    not reduced; ``den`` is a multiple of ``v``, so a mass over ``u`` adds
+    ``mass * k * (den // v)`` to ``num``.  An atom counts when ``dx^2 +
+    dy^2 <= r^2`` in ints.  A segment's line is cut to one
     :func:`half_chord` and the clipped masses are summed as ints over ``v``
-    (times the denominator of an irrational chord's dyadic float)."""
-    v, k, cx, cy, r = _lift(u, ball)
+    (times the denominator of an irrational chord's dyadic float), per such
+    denominator and piece width; each sum is reduced once before the sums
+    go over their least common denominator."""
     r2, v2 = r * r, v * v
     # per line: None when the chord misses, else (lo, hi, s) over v * s
     chords: Dict[int, Optional[Tuple[int, int, int]]] = {}
@@ -220,8 +231,14 @@ def _clip_mass(u: int, rows: Iterable[Tuple[int, int, int, int]],
         hi = min((x + w) * k * s, hi_c)
         if lo < hi:
             sums[s, w] = sums.get((s, w), 0) + (hi - lo) * m
-    return sum((Fraction(n, v * s * w) for (s, w), n in sums.items()),
-               Fraction(atoms, u))
+    # each sum as n / (v * q), q reduced, then all over v * lcm(q)
+    terms = []
+    for (s, w), n in sums.items():
+        g = math.gcd(n, s * w)
+        terms.append((n // g, s * w // g))
+    lcm = math.lcm(*(q for _, q in terms))
+    return (sum(n * (lcm // q) for n, q in terms) + atoms * k * lcm,
+            v * lcm)
 
 
 def _unit_window(u: int, rows: Iterable[Tuple[int, int, int, int]],
@@ -434,12 +451,16 @@ class AtomicMeasure:
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:
         """The distinct atom positions, sorted; a ``seed``-ed sample of
-        ``max_centers`` of them when there are more (``rho`` is unused)."""
-        centers = sorted(set(self.points()))
+        ``max_centers`` of them when there are more (``rho`` is unused).
+        Positions are sorted and sampled as int pairs over ``u``, which
+        order like their fractions, and only the centers returned become
+        fractions."""
+        u, rows = self._int_rows
+        centers = sorted({(x, y) for y, x, _, _ in rows})
         if len(centers) > max_centers:
             rng = random.Random(seed)
             centers = sorted(rng.sample(centers, max_centers))
-        return centers
+        return [(Fraction(x, u), Fraction(y, u)) for x, y in centers]
 
     def diameter(self) -> float:
         xs, ys, _ = self.float_arrays

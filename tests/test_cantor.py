@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from betacantor import (Ball, CantorMeasure, RationalPoint, SegmentMeasure,
@@ -399,6 +400,129 @@ class TestIntegerBallMass:
         with pytest.raises(ResourceBudgetError) as via_mass:
             mu.ball_mass(ball)
         assert str(via_mass.value) == str(via_window.value)
+        # in a multi-radius call the first radius over budget raises; the
+        # one before it is within budget
+        mu.window((ball.cx, ball.cy), F(1, 4096))
+        with pytest.raises(ResourceBudgetError) as via_masses:
+            mu.ball_masses(ball.cx, ball.cy, [F(1, 4096), ball.radius, 1])
+        assert str(via_masses.value) == str(via_window.value)
+
+    @pytest.mark.parametrize("make, res", [
+        (lambda: schedule_tame(3), None),
+        (lambda: schedule_tame(2), 0),
+        (lambda: schedule_thm11(2), 0),
+    ])
+    def test_budget_fires_on_the_same_balls(self, monkeypatch, make, res):
+        # the mass descent does not expand nodes inside the ball, but its
+        # budget still counts every node the window descent pushes, the
+        # subtrees of inside nodes included
+        sched = make()
+        gen = sched.k_max
+        mu = CantorMeasure(sched, gen, rel_resolution=res)
+        scale = 1 if res is None else F(2) ** math.floor(
+            math.log2(1000 * sched.min_length(gen)))
+        raised = []
+        for limit in (10, 60, 400):
+            monkeypatch.setattr(cantor, "MAX_NODES", limit)
+            for ball in probe_balls(sched, gen, 61, scale):
+                radii = [ball.radius * q for q in (F(1, 64), 1, 8)]
+                want = None
+                for r in radii:
+                    try:
+                        mu.window((ball.cx, ball.cy), r)
+                    except ResourceBudgetError as exc:
+                        want = str(exc)
+                        break
+                try:
+                    mu.ball_masses(ball.cx, ball.cy, radii)
+                    got = None
+                except ResourceBudgetError as exc:
+                    got = str(exc)
+                assert got == want
+                raised.append(got is not None)
+        assert any(raised) and not all(raised)
+
+
+def mass_probes(sched, gen, seed, scale):
+    """12 seeded centers with a list of radii each, for the mass descent:
+    on the support, at a float point near it, or on the line of a support
+    point a third of a radius away.  The radii are a dyadic ``r`` (from
+    1e-6 to 0.5 times ``scale``), its x50 dilate, ``r/3``, ``5r/7``, the
+    float ``2r``, and the radii that make the sphere pass through an end of
+    the segment holding the support point."""
+    rng = random.Random(seed)
+    for i in range(12):
+        pa = sample_address(sched, gen, rng)
+        seg, pt = segment_of(pa.path, sched), point_of(pa, sched)
+        r = F(10 ** rng.uniform(-6, math.log10(0.5))) * scale
+        cx, cy = pt.x, pt.y
+        if i % 3 == 1:
+            cx = float(cx) + rng.uniform(-1, 1) * float(r)
+            cy = float(cy) + rng.uniform(-1, 1) * float(r)
+        elif i % 3 == 2:
+            cx += r / 3
+        radii = [r, 50 * r, r / 3, 5 * r / 7, 2 * float(r)]
+        if i % 3 != 1:
+            radii += [abs(end - cx) for end in (seg.left.x, seg.right.x)
+                      if end != cx]
+        yield cx, cy, radii
+
+
+class TestMassDescent:
+    """``CantorMeasure.ball_masses`` runs one mass descent per center, in
+    which kids inside the ball add their mass unexpanded.  Every float must
+    equal the ``Fraction`` clip of the full window, which has no such
+    shortcut, rounded once."""
+
+    @pytest.mark.parametrize("make, res", [
+        (lambda: schedule_thm11(2), None),
+        (lambda: schedule_thm11(2), 0),
+        (lambda: schedule_thm12(2), None),
+        (lambda: schedule_thm12(2), 0),
+        (lambda: schedule_tame(3), None),
+        (lambda: schedule_tame(3), 0),
+    ])
+    def test_matches_window_oracle(self, make, res):
+        sched = make()
+        gen = sched.k_max
+        mu = CantorMeasure(sched, gen, rel_resolution=res)
+        # the exact mode expands every segment, so its dilated balls shrink
+        # to a few hundred of the shortest segments
+        scale = 1 if res is None else F(2) ** math.floor(
+            math.log2(4 * sched.min_length(gen)))
+        for cx, cy, radii in mass_probes(sched, gen, 71, scale):
+            got = mu.ball_masses(cx, cy, radii)
+            assert got.dtype == float and len(got) == len(radii)
+            for r, m in zip(radii, got):
+                ball = Ball((cx, cy), r)
+                want = chord_mass(mu.window((cx, cy), r).segments, ball)
+                assert mu.ball_mass(ball) == want
+                assert np.float64(float(want)).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("make, res", [
+        (lambda: schedule_thm11(2), None),
+        (lambda: schedule_tame(3), None),
+        (lambda: schedule_tame(2), None),
+        (lambda: schedule_tame(2), 0),
+    ])
+    def test_kid_through_corners_is_not_expanded(self, make, res):
+        # the sphere of B((x + w/2, reach - 3w/8), 5w/8) passes through the
+        # top corners (x, reach) and (x + w, reach) of the reach box of the
+        # fourth down kid [x, x + w] of the root (3-4-5), and no other kid
+        # meets the ball: the mass descent counts that kid's mass from its
+        # run and clips nothing, where the window emits its pieces
+        sched = make()
+        mu = CantorMeasure(sched, sched.k_max, rel_resolution=res)
+        w, pitch = cantor._child_layout(F(1), 1 - sched.a_of(1),
+                                        sched.n_of(1))
+        reach = sched.h_span(1, sched.k_max)
+        assert reach <= 3 * w / 4 and pitch > 2 * w
+        cx, cy, r = 3 * pitch + w / 2, reach - 3 * w / 8, 5 * w / 8
+        (_, (u, *_), out, inside), = mu._descend(cx, cy, [r], True)
+        assert out == [] and F(inside, u) == w
+        (_, _, out, inside), = mu._descend(cx, cy, [r], False)
+        assert out and inside == 0
+        assert mu.ball_mass(Ball((cx, cy), r)) == w
 
 
 class TestIntegerUnitWindow:

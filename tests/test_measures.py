@@ -9,8 +9,10 @@ import pytest
 
 from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         SegmentMeasure, WeightedSegment, atomize,
-                        dumps_measure, loads_measure, locate, schedule_tame)
+                        dumps_measure, loads_measure, locate, schedule_tame,
+                        schedule_thm11)
 from betacantor.beta import build_window
+from betacantor.density import build_mu_tilde
 from betacantor.geometry import CLIP_REL_TOL, ball_chord
 from betacantor.measures import collinear_line
 
@@ -431,6 +433,38 @@ class TestCandidateCenters:
         twice = AtomicMeasure(list(mu.atoms) + list(mu.atoms[:5]))
         assert twice.candidate_centers(F(1, 16), 3, 1000) == every
         assert twice.candidate_centers(F(1, 16), 3, 50) == sample
+
+    @staticmethod
+    def fraction_centers(mu, seed, max_centers):
+        """The atom centers from their ``Fraction`` points: sorted and
+        distinct, then a ``seed``-ed sample when there are too many."""
+        centers = sorted(set(mu.points()))
+        if len(centers) > max_centers:
+            centers = sorted(random.Random(seed).sample(centers, max_centers))
+        return centers
+
+    @pytest.mark.parametrize("cloud", ["packing", "coprime"])
+    def test_atoms_match_fraction_reference(self, cloud):
+        if cloud == "packing":
+            # the atoms of the packing pipeline: the approximation measure
+            # of thm11(2) generation 2, cut into atoms 1/25000 apart
+            mu_tilde, _ = build_mu_tilde(
+                CantorMeasure(schedule_thm11(2), 2), 50.0, F(1, 64), 0.35,
+                c_star=2.0, max_centers=128, seed=0)
+            mu = atomize(mu_tilde, F(1, 25_000))
+        else:
+            # pairwise coprime denominators, repeated positions included
+            rng = random.Random(5)
+            primes = [3, 5, 7, 11, 13, 17, 19, 23]
+            mu = AtomicMeasure([
+                (F(rng.randrange(-9, 9), p), F(rng.randrange(-9, 9), q), 1)
+                for p, q in zip(primes, primes[::-1]) for _ in range(40)])
+            assert len(set(mu.points())) < len(mu)
+        n = len(set(mu.points()))
+        for seed, max_centers in ((0, n), (0, n + 5), (3, n // 2), (4, 7)):
+            got = mu.candidate_centers(F(1, 64), seed, max_centers)
+            assert got == self.fraction_centers(mu, seed, max_centers)
+            assert all(type(v) is F for center in got for v in center)
 
     def test_cantor_centers_on_support(self):
         sched = schedule_tame(2)
