@@ -11,16 +11,18 @@ right-aligned.  Total mass is conserved exactly at every step.
 Faithful schedules force the vertical steps to collapse extremely fast
 (``h_{k+1} <= 2^{-2k-5} min(h_k, shortest segment)``) and take
 ``n_k`` as the smallest integer above ``1/h_k^2``; generation 2 then already
-has ~2^45 segments, so everything here is built around one *lazy, window
-restricted* descent (``CantorMeasure``).  It is exact: its coordinates are
-Python ints over one common denominator (the lcm of the layout's, fixed
-per schedule and generation, and those of the center and every radius of
-one query), which the segment core of ``measures`` clips and rescales as
-they are.  By default it collapses sub-resolution periodic runs of children
-into equivalent uniform segments (mass preserved exactly); at resolution 0
-it returns the exact restriction.  Ball masses run one mass descent per
-center, in which children wholly inside a ball add their mass without being
-expanded or clipped; windows still emit every piece.
+has ~2^45 segments.  The tree is therefore laid out once per schedule and
+generation, per path class, as Python ints over one denominator
+(:func:`_tree_layout`), and that one layout serves the lazy, window
+restricted descent (``CantorMeasure``), addresses, :func:`locate`, transport
+and the conservation probe.  The descent is exact: its coordinates are ints
+over one common denominator (the layout's lcm with those of the center and
+every radius of one query), which the segment core of ``measures`` clips and
+rescales as they are.  By default it collapses sub-resolution periodic runs
+of children into equivalent uniform segments (mass preserved exactly); at
+resolution 0 it returns the exact restriction.  Ball masses run one mass
+descent per center, in which children wholly inside a ball add their mass
+without being expanded or clipped; windows still emit every piece.
 """
 
 from __future__ import annotations
@@ -91,10 +93,8 @@ class Schedule:
         for nk in self.n:
             if nk <= 2:
                 raise ValueError("each n_k must exceed 2")
-        cum = [Fraction(0)]
-        for hk in self.h:
-            cum.append(cum[-1] + hk)
-        object.__setattr__(self, "_h_cum", tuple(cum))
+        # generation -> _tree_layout, filled on first use
+        object.__setattr__(self, "_layouts", {})
 
     @property
     def k_max(self) -> int:
@@ -136,7 +136,7 @@ class Schedule:
 
     def h_span(self, lo_gen: int, hi_gen: int) -> Fraction:
         """``sum_{j in (lo_gen, hi_gen]} h_j``."""
-        return self._h_cum[hi_gen] - self._h_cum[lo_gen]
+        return sum(self.h[lo_gen:hi_gen], Fraction(0))
 
     @property
     def gap_ok(self) -> Tuple[bool, ...]:
@@ -262,8 +262,8 @@ def children(parent: WeightedSegment, h: Scalar, a: Scalar,
         raise ValueError("need n >= 2")
     if h < 0:
         raise ValueError("need h >= 0")
-    fam = _Family.of(parent, a, n, h)
-    return [fam.child(i) for i in range(n)]
+    layout = _child_layout(parent.length, a, n)
+    return [_child(parent, h, layout, i) for i in range(n)]
 
 
 def _child_layout(length: Fraction, frac: Fraction,
@@ -275,40 +275,44 @@ def _child_layout(length: Fraction, frac: Fraction,
     return width, width + (1 - frac) * length / (n - 1)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """Layout of one child family (down or up) of a parent segment."""
-
-    x0: Fraction
-    y: Fraction
-    width: Fraction
-    pitch: Fraction
-    count: int
-    density: Fraction
-
-    @classmethod
-    def of(cls, parent: WeightedSegment, frac: Fraction, n: int,
-           dy: Fraction) -> "_Family":
-        """:func:`_child_layout` of ``parent``, on the line ``dy`` above."""
-        width, pitch = _child_layout(parent.length, frac, n)
-        return cls(parent.left.x, parent.y + dy, width, pitch, n,
-                   parent.density)
-
-    def child(self, i: int) -> WeightedSegment:
-        lo = self.x0 + i * self.pitch
-        return WeightedSegment(RationalPoint(lo, self.y),
-                               RationalPoint(lo + self.width, self.y),
-                               self.density)
+def _child(parent: WeightedSegment, dy: Fraction,
+           layout: Tuple[Fraction, Fraction], i: int) -> WeightedSegment:
+    """Child ``i`` of a :func:`_child_layout` of ``parent`` on the line
+    ``dy`` above, with the parent's density."""
+    width, pitch = layout
+    lo, y = parent.left.x + i * pitch, parent.y + dy
+    return WeightedSegment(RationalPoint(lo, y), RationalPoint(lo + width, y),
+                           parent.density)
 
 
-def _families(parent: WeightedSegment, gen_child: int,
-              sched: Schedule) -> Tuple[_Family, _Family]:
-    """Down/up child family layouts of ``parent`` at generation
-    ``gen_child``."""
-    a = sched.a_of(gen_child)
-    n = sched.n_of(gen_child)
-    return (_Family.of(parent, 1 - a, n, Fraction(0)),
-            _Family.of(parent, a, n, sched.h_of(gen_child)))
+def _tree_layout(sched: Schedule, gen: int, *dens: int):
+    """``(u, widths, pitches, lifts, reaches)``: the generation-``gen``
+    tree as ints over ``u = lcm(D, *dens)``, where the layout over its own
+    denominator ``D`` is built on first use and cached on the schedule.  A
+    generation-``g`` node of path class ``c`` (its branches as binary
+    digits, down 0, up 1) has width ``widths[g][c]`` and sibling pitch
+    ``pitches[g][c]``; its children have classes ``2c`` and ``2c + 1``
+    (lifted by ``lifts[g + 1]``), and its subtree reaches ``reaches[g]``
+    above it.  The root is ``[0, u] x {0}``."""
+    if gen not in sched._layouts:
+        widths = [[Fraction(1)]]
+        pitches = [[Fraction(0)]]
+        for g in range(1, gen + 1):
+            a, n = sched.a_of(g), sched.n_of(g)
+            ws, ps = zip(*(_child_layout(length, frac, n)
+                           for length in widths[-1] for frac in (1 - a, a)))
+            widths.append(ws)
+            pitches.append(ps)
+        lifts = [Fraction(0)] + list(sched.h[:gen])
+        reaches = [sched.h_span(g, gen) for g in range(gen + 1)]
+        sched._layouts[gen] = _to_int_rows(
+            widths + pitches + [lifts, reaches])
+    d, rows = sched._layouts[gen]
+    u = math.lcm(d, *dens)
+    if u != d:
+        k = u // d
+        rows = [[v * k for v in row] for row in rows]
+    return u, rows[:gen + 1], rows[gen + 1:-2], rows[-2], rows[-1]
 
 
 def refine(parents: Sequence[WeightedSegment], k: int,
@@ -319,10 +323,11 @@ def refine(parents: Sequence[WeightedSegment], k: int,
     by ``2 n_{k+1}``; interior overlaps raise ``ValueError``.
     """
     sched.require_generation(k + 1)
+    a, h, n = sched.a_of(k + 1), sched.h_of(k + 1), sched.n_of(k + 1)
     out: List[WeightedSegment] = []
     for parent in parents:
-        for fam in _families(parent, k + 1, sched):
-            out.extend(fam.child(i) for i in range(fam.count))
+        out.extend(children(parent, 0, 1 - a, n))
+        out.extend(children(parent, h, a, n))
     SegmentMeasure(out).check_disjoint()
     return out
 
@@ -387,36 +392,10 @@ class CantorMeasure:
         self.sched = sched
         self.gen = gen
         self.rel_resolution = rel_resolution
-        self._layout = None
 
     @property
     def total_mass(self) -> Fraction:
         return ROOT.mass
-
-    def _int_layout(self):
-        """``(D, widths, pitches, lifts, reaches)``, cached: the tree layout
-        as ints over one denominator ``D``.  A generation-``g`` node of path
-        class ``c`` (its branches as binary digits, down 0, up 1) has width
-        ``widths[g][c]`` and sibling pitch ``pitches[g][c]``; its children
-        have classes ``2c`` and ``2c + 1`` (lifted by ``lifts[g + 1]``), and
-        its subtree reaches ``reaches[g]`` above it."""
-        if self._layout is None:
-            widths = [[Fraction(1)]]
-            pitches = [[Fraction(0)]]
-            for g in range(1, self.gen + 1):
-                a, n = self.sched.a_of(g), self.sched.n_of(g)
-                ws, ps = zip(*(_child_layout(length, frac, n)
-                               for length in widths[-1]
-                               for frac in (1 - a, a)))
-                widths.append(ws)
-                pitches.append(ps)
-            lifts = [Fraction(0)] + list(self.sched.h[:self.gen])
-            reaches = [self.sched.h_span(g, self.gen)
-                       for g in range(self.gen + 1)]
-            d, ints = _to_int_rows(widths + pitches + [lifts, reaches])
-            k = self.gen + 1
-            self._layout = (d, ints[:k], ints[k:2 * k], ints[-2], ints[-1])
-        return self._layout
 
     def _descend(self, cx: Fraction, cy: Fraction, radii: Sequence[Scalar],
                  count_inside: bool) -> Iterator[Tuple[
@@ -448,17 +427,11 @@ class CantorMeasure:
         if any(r.numerator <= 0 for r in radii):
             raise ValueError("radius must be positive")
         p, q = self.rel_resolution.numerator, self.rel_resolution.denominator
-        d, widths, pitches, lifts, reaches = self._int_layout()
         # every coordinate below is an int over the common denominator u;
         # q divides every radius over u, so r * p / q is exact
-        u = math.lcm(d, cx.denominator, cy.denominator,
-                     *(radius.denominator * q for radius in radii))
-        if u != d:
-            k = u // d
-            widths = [[v * k for v in row] for row in widths]
-            pitches = [[v * k for v in row] for row in pitches]
-            lifts = [v * k for v in lifts]
-            reaches = [v * k for v in reaches]
+        u, widths, pitches, lifts, reaches = _tree_layout(
+            self.sched, self.gen, cx.denominator, cy.denominator,
+            *(radius.denominator * q for radius in radii))
         center = cx, cy
         cx = cx.numerator * (u // cx.denominator)
         cy = cy.numerator * (u // cy.denominator)
@@ -636,22 +609,37 @@ class PointAddress:
         return len(self.path)
 
 
+def _path_ints(path: SegmentAddress,
+               sched: Schedule) -> Tuple[int, int, int, int]:
+    """``(D, x, y, w)``: the segment ``[x, x + w] x {y}`` a (prefix-valid)
+    address points at, as ints over the :func:`_tree_layout` denominator
+    ``D`` of its generation."""
+    gen = len(path)
+    sched.require_generation(gen)
+    d, widths, pitches, lifts, _ = _tree_layout(sched, gen)
+    x = y = c = 0
+    for g, (idx, branch) in enumerate(path, start=1):
+        if not 0 <= idx < sched.n_of(g):
+            raise ValueError(f"child index {idx} out of range at depth {g}")
+        c = 2 * c + (branch == UP)
+        x += idx * pitches[g][c]
+        if branch == UP:
+            y += lifts[g]
+    return d, x, y, widths[gen][c]
+
+
 def segment_of(path: SegmentAddress, sched: Schedule) -> WeightedSegment:
     """The segment a (prefix-valid) address points at."""
-    sched.require_generation(len(path))
-    seg = ROOT
-    for g, (idx, branch) in enumerate(path, start=1):
-        down, up = _families(seg, g, sched)
-        fam = up if branch == UP else down
-        if not 0 <= idx < fam.count:
-            raise ValueError(f"child index {idx} out of range at depth {g}")
-        seg = fam.child(idx)
-    return seg
+    d, x, y, w = _path_ints(path, sched)
+    return WeightedSegment(RationalPoint(Fraction(x, d), Fraction(y, d)),
+                           RationalPoint(Fraction(x + w, d), Fraction(y, d)))
 
 
 def point_of(pa: PointAddress, sched: Schedule) -> RationalPoint:
-    seg = segment_of(pa.path, sched)
-    return RationalPoint(seg.left.x + pa.offset * seg.length, seg.y)
+    d, x, y, w = _path_ints(pa.path, sched)
+    q = pa.offset
+    return RationalPoint(Fraction(x * q.denominator + q.numerator * w,
+                                  d * q.denominator), Fraction(y, d))
 
 
 def classify(pa: PointAddress, k: int) -> str:
@@ -694,29 +682,29 @@ def locate(point: RationalPoint, gen: int, sched: Schedule) -> PointAddress:
     ``ValueError`` if the point is not on the support.
     """
     sched.require_generation(gen)
-    seg = ROOT
-    path: List[Tuple[int, str]] = []
-    rem_y = point.y - ROOT.y
     if not ROOT.left.x <= point.x <= ROOT.right.x:
         raise ValueError("point not on the root segment's x-range")
+    # the layout and the point as ints over one denominator u
+    u, widths, pitches, lifts, _ = _tree_layout(
+        sched, gen, point.x.denominator, point.y.denominator)
+    px = point.x.numerator * (u // point.x.denominator)
+    rem_y = point.y.numerator * (u // point.y.denominator)
+    path: List[Tuple[int, str]] = []
+    x = c = 0
     for g in range(1, gen + 1):
-        h = sched.h_of(g)
-        branch = UP if rem_y >= h else DOWN
-        if branch == UP:
-            rem_y -= h
-        down, up = _families(seg, g, sched)
-        fam = up if branch == UP else down
-        idx = math.floor((point.x - fam.x0) / fam.pitch)
-        idx = min(max(idx, 0), fam.count - 1)
-        child = fam.child(idx)
-        if not child.left.x <= point.x <= child.right.x:
+        up = rem_y >= lifts[g]
+        if up:
+            rem_y -= lifts[g]
+        c = 2 * c + up
+        pitch = pitches[g][c]
+        idx = min(max((px - x) // pitch, 0), sched.n_of(g) - 1)
+        x += idx * pitch
+        if not x <= px <= x + widths[g][c]:
             raise ValueError(f"point falls in a generation-{g} gap")
-        path.append((idx, branch))
-        seg = child
+        path.append((idx, UP if up else DOWN))
     if rem_y != 0:
         raise ValueError("vertical coordinate does not match any branch sum")
-    offset = (point.x - seg.left.x) / seg.length
-    return PointAddress(tuple(path), offset)
+    return PointAddress(tuple(path), Fraction(px - x, widths[gen][c]))
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +752,14 @@ def transport_cells(parent: WeightedSegment, k: int, sched: Schedule,
                     indices: Optional[Iterable[int]] = None,
                     ) -> List[TransportCell]:
     """The translation cells of the transport map over one parent segment,
-    for the given piece indices (all pieces when feasible)."""
+    for the given piece indices ``0 <= j < n_{k+1}`` (all pieces when
+    feasible)."""
     sched.require_generation(k + 1)
-    a = sched.a_of(k + 1)
-    n = sched.n_of(k + 1)
+    a, h, n = sched.a_of(k + 1), sched.h_of(k + 1), sched.n_of(k + 1)
     piece = parent.length / n
-    w_down = (1 - a) * piece
-    down, up = _families(parent, k + 1, sched)
+    # a down child is as wide as the left part (1 - a) * piece of its piece
+    down = _child_layout(parent.length, 1 - a, n)
+    up = _child_layout(parent.length, a, n)
     if indices is None:
         if n > 200_000:
             raise ResourceBudgetError(
@@ -778,34 +767,38 @@ def transport_cells(parent: WeightedSegment, k: int, sched: Schedule,
         indices = range(n)
     cells = []
     for j in indices:
+        if not 0 <= j < n:
+            raise ValueError(f"piece index {j} outside 0..{n - 1}")
         lo = parent.left.x + j * piece
-        cells.append(TransportCell(lo, lo + w_down, down.child(j), DOWN))
-        cells.append(TransportCell(lo + w_down, lo + piece, up.child(j), UP))
+        mid = lo + down[0]
+        cells.append(TransportCell(lo, mid, _child(parent, 0, down, j), DOWN))
+        cells.append(TransportCell(mid, lo + piece, _child(parent, h, up, j),
+                                   UP))
     return cells
 
 
 def verify_conservation(sched: Schedule, gen: int,
                         rng: random.Random) -> Fraction:
     """Structural exact-mass check: along five randomly sampled descent
-    paths, verify at every level that the two child families carry exactly
-    the parent mass (count * width * density per family), and return the
-    total mass of the generation (the conserved root mass).
+    paths, verify at every level of the :func:`_tree_layout` that the two
+    child families carry exactly the parent mass (count * width per family,
+    at the root's unit density), and return the total mass of the
+    generation (the conserved root mass).
 
     This exercises the layout arithmetic at generations far beyond
     enumerability.
     """
     sched.require_generation(gen)
+    widths = _tree_layout(sched, gen)[1]
     for _ in range(5):
-        seg = ROOT
+        c = 0
         for g in range(1, gen + 1):
-            down, up = _families(seg, g, sched)
-            fam_mass = (down.count * down.width * down.density
-                        + up.count * up.width * up.density)
-            if fam_mass != seg.mass:
+            n = sched.n_of(g)
+            if n * sum(widths[g][2 * c:2 * c + 2]) != widths[g - 1][c]:
                 raise InvariantViolationError(
                     f"mass not conserved at generation {g}")
-            fam = up if rng.random() < float(sched.a_of(g)) else down
-            seg = fam.child(rng.randrange(fam.count))
+            c = 2 * c + (rng.random() < float(sched.a_of(g)))
+            rng.randrange(n)  # the child index, drawn to keep the rng stream
     return ROOT.mass
 
 

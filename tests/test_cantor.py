@@ -18,7 +18,8 @@ from betacantor import cantor
 from betacantor.cantor import (DOWN, ROOT, UP, gap_bound,
                                max_separation_squared, separation_bound_holds,
                                verify_conservation)
-from betacantor.errors import ResourceBudgetError, ScheduleExhaustedError
+from betacantor.errors import (InvariantViolationError, ResourceBudgetError,
+                               ScheduleExhaustedError)
 from betacantor.geometry import ball_chord
 
 UNIT = WeightedSegment(RationalPoint(0, 0), RationalPoint(1, 0), 1)
@@ -197,6 +198,25 @@ class TestSchedules:
     def test_exact_conservation_probe_deep(self):
         s = schedule_thm11(4)
         assert verify_conservation(s, 4, random.Random(0)) == 1
+
+    def test_conservation_probe_catches_a_widened_child(self, monkeypatch):
+        # the first layout a fresh schedule asks for is the root's down
+        # family; one unit more over its denominator breaks conservation at
+        # generation 1, which every sampled path checks
+        layout = cantor._child_layout
+        calls = []
+
+        def widened(length, frac, n):
+            width, pitch = layout(length, frac, n)
+            calls.append(frac)
+            if len(calls) == 1:
+                width += F(1, width.denominator)
+            return width, pitch
+
+        monkeypatch.setattr(cantor, "_child_layout", widened)
+        with pytest.raises(InvariantViolationError, match="generation 1$"):
+            verify_conservation(schedule_tame(2), 2, random.Random(0))
+        assert calls
 
     def test_min_length_recursion(self):
         s = schedule_tame(2)
@@ -587,7 +607,56 @@ class TestExactWindow:
             CantorMeasure(schedule_tame(2), 2, rel_resolution=res)
 
 
+def family_segment(path, sched):
+    """The segment an address points at, by laying out the child family of
+    each segment along the path in ``Fraction``s: the per-segment recursion
+    that the int tree layout replaces, kept as its reference."""
+    seg = ROOT
+    for g, (idx, branch) in enumerate(path, start=1):
+        a, n = sched.a_of(g), sched.n_of(g)
+        frac, dy = (a, sched.h_of(g)) if branch == UP else (1 - a, 0)
+        width = frac * seg.length / n
+        lo = seg.left.x + idx * (width + (1 - frac) * seg.length / (n - 1))
+        seg = WeightedSegment(RationalPoint(lo, seg.y + dy),
+                              RationalPoint(lo + width, seg.y + dy),
+                              seg.density)
+    return seg
+
+
+def family_point(pa, sched):
+    seg = family_segment(pa.path, sched)
+    return RationalPoint(seg.left.x + pa.offset * seg.length, seg.y)
+
+
 class TestAddresses:
+    @pytest.mark.parametrize("make", [
+        lambda: schedule_thm11(4), lambda: schedule_thm12(3),
+        lambda: schedule_tame(4), lambda: FIG,
+    ], ids=["thm11", "thm12", "tame", "fig"])
+    def test_layout_matches_fraction_reference(self, make):
+        sched = make()
+        rng = random.Random(sched.k_max)
+        for gen in range(sched.k_max + 1):
+            for _ in range(40):
+                pa = sample_address(sched, gen, rng)
+                pt = family_point(pa, sched)
+                assert segment_of(pa.path, sched) == \
+                    family_segment(pa.path, sched)
+                assert point_of(pa, sched) == pt
+                assert locate(pt, gen, sched) == pa
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_candidate_centers_match_fraction_reference(self, seed):
+        # the centers build_mu_tilde draws at seeds 0 to 8, on which the
+        # ball masses of the packing pipeline depend
+        sched = schedule_thm11(2)
+        rng = random.Random(seed)
+        want = sorted({(pt.x, pt.y) for pt in (
+            family_point(sample_address(sched, 2, rng), sched)
+            for _ in range(128))})
+        got = CantorMeasure(sched, 2).candidate_centers(F(1, 64), seed, 128)
+        assert got == want
+
     def test_locate_roundtrip(self):
         sched = schedule_thm11(3)
         rng = random.Random(21)
@@ -708,6 +777,12 @@ class TestTransport:
                                      k, sched) == down.target.left
                     assert transport(RationalPoint(up.source_lo, parent.y),
                                      k, sched) == down.target.right
+
+    @pytest.mark.parametrize("j", [8, -1])
+    def test_piece_index_outside_parent_rejected(self, j):
+        # tame has n_1 = 8 pieces per parent: 0..7
+        with pytest.raises(ValueError, match=f"piece index {j} outside 0..7"):
+            transport_cells(ROOT, 0, schedule_tame(1), [j])
 
     def test_point_off_support_rejected(self):
         sched = schedule_tame(2)
