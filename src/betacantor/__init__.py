@@ -4,8 +4,9 @@ measures, Jones-type coefficients and square functions, density and
 rectifiability probes, and a net-lattice corona decomposition for atomic
 measures."""
 
-from .beta import (BetaResult, ScaleGrid, beta, beta_both,
-                   beta_lower_bound_probe, increment_pair, square_function)
+from .beta import (BetaResult, ScaleGrid, beta, beta_both, beta_both_points,
+                   beta_lower_bound_probe, increment_pair, increment_scales,
+                   square_function, sum_squares)
 from .cantor import (DOWN, UP, CantorMeasure, PointAddress, Schedule,
                      children, classify, generate, locate, point_of, refine,
                      sample_address, schedule_custom, schedule_tame,

@@ -18,12 +18,17 @@ outer direction search is a uniform grid of 180 angles refined by
 golden section around the best brackets and two analytic seeds (the exact
 L^2 line and the horizontal direction).
 
-Every coefficient, single, over the radii of a point or summed into a
-square function, scores its windows through one core: an empty window
+Every coefficient, single, over the radii of many points or summed into
+square functions, scores its windows through one core: an empty window
 gives 0; a collinear support (screened by the window's moments first)
 gives 0 on its line; p = 2 takes the closed-form smallest eigenvalue; any
-other p runs the search.  A square function asks the measure for all the
-windows of a point in one ``unit_windows`` call.
+other p runs the search.  Callers hand the core a batch of jobs, each a
+measure, a point and its radii: :func:`beta_both_points` takes one job per
+point, :func:`sum_squares` one per square function, each job with its own
+measure and scales.  The measure gives all the windows of a job in one
+``unit_windows`` call, and the windows of every job of the batch go to the
+core together.  The single-point functions (:func:`beta_both_radii`,
+:func:`square_function`, :func:`increment_pair`) are batches of one job.
 
 The searches of those windows run together, in lock step: each stage (the
 coarse grid pass, the golden-section steps, the guard solves) is one set of
@@ -36,15 +41,18 @@ the pieces of a row run once per piece count, over the C-contiguous
 the same numbers in the same order whatever the number of rows.  Padding
 rows to one width, or ``np.add.reduceat`` over the ragged rows, would
 change the summation order and with it the last bits; grouping by ``n``
-keeps every result bit-identical to the search of the window alone.  The
-coarse pass, whose rows are 180 per window, runs one piece count at a time
-to keep its arrays small.
+keeps every result bit-identical to the search of the window alone, so a
+window's result does not depend on which windows share its batch.  The
+coarse pass, whose rows are 180 per window, runs one piece count at a time,
+in chunks of at most ``COARSE_CHUNK_PIECES`` window pieces, to keep its
+arrays small however many jobs the batch holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import (TYPE_CHECKING, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -62,6 +70,7 @@ PHI_TOL = 1e-8              # golden-section stopping width on the angle
 C_BISECT_ITERS = 46         # offset bisection steps (range <= 2.2)
 C_BISECT_COARSE = 22        # cheap pass used only to rank directions
 DENSE_OCTAVES = 16.0        # increment_pair: dense grid octaves above r_lo
+COARSE_CHUNK_PIECES = 128   # window pieces per coarse-pass chunk
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -395,12 +404,15 @@ def _search(windows: Sequence[Window], p: float,
     pieces = _Pieces(wins)
     grid = np.arange(PHI_GRID) * (math.pi / PHI_GRID)
     objs = []
-    for a, b in _runs(pieces.n):
-        # no name holds the rows or the projection past its own pass
-        _, found = _Projection(
-            pieces.rows(np.repeat(np.arange(a, b), PHI_GRID)),
-            np.tile(grid, b - a)).minimize_offset(p, C_BISECT_COARSE)
-        objs.extend(found.reshape(b - a, PHI_GRID))
+    for start, stop in _runs(pieces.n):
+        chunk = max(1, COARSE_CHUNK_PIECES // int(pieces.n[start]))
+        for a in range(start, stop, chunk):
+            b = min(a + chunk, stop)
+            # no name holds the rows or the projection past its own pass
+            _, found = _Projection(
+                pieces.rows(np.repeat(np.arange(a, b), PHI_GRID)),
+                np.tile(grid, b - a)).minimize_offset(p, C_BISECT_COARSE)
+            objs.extend(found.reshape(b - a, PHI_GRID))
 
     step = math.pi / PHI_GRID
     brackets = [_brackets(win, grid, o, step) for win, o in zip(wins, objs)]
@@ -499,24 +511,47 @@ def _values(obj: float, mass: float, p: float,
     return obj ** (1.0 / p), tilde
 
 
-def beta_both_radii(mu: AnyMeasure, x, radii: Sequence[Scalar],
-                    p: float = 2.0,
-                    ) -> List[Tuple[BetaResult, Optional[BetaResult]]]:
-    """:func:`beta_both` at each radius of ``radii`` around one point, from
-    one ``unit_windows`` call and one batched search."""
+def _job_lines(jobs: Sequence[Tuple[AnyMeasure, object, Sequence[Scalar]]],
+               p: float) -> List[List[tuple]]:
+    """:func:`_best_lines` of the windows of every ``(mu, x, radii)`` job
+    in one batch, split back per job: the windows of a job come from one
+    ``mu.unit_windows`` call around ``x``, one window per radius."""
+    found = iter(_best_lines(chain.from_iterable(
+        mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]), radii)
+        for mu, x, radii in jobs), p))
+    return [list(islice(found, len(radii))) for _, _, radii in jobs]
+
+
+def beta_both_points(mu: AnyMeasure, points: Sequence, radii: Sequence[Scalar],
+                     p: float = 2.0,
+                     ) -> List[List[Tuple[BetaResult, Optional[BetaResult]]]]:
+    """:func:`beta_both` at each radius of ``radii`` around each point of
+    ``points``, one list per point: one ``unit_windows`` call per point and
+    one batched search over every window."""
     radii = [to_fraction(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
-    windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]), radii)
+    lines = _job_lines([(mu, x, radii) for x in points], p)
     out = []
-    for r, (obj, phi, c, iters, mass, segments, atoms) in zip(
-            radii, _best_lines(windows, p)):
-        value, tilde = _values(obj, mass, p)
-        b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
-                       mass * float(r), segments, atoms, iters)
-        out.append((b, None if tilde is None
-                    else replace(b, value=tilde, variant="betaTilde")))
+    for x, found in zip(points, lines):
+        both = []
+        for r, (obj, phi, c, iters, mass, segments, atoms) in zip(radii,
+                                                                  found):
+            value, tilde = _values(obj, mass, p)
+            b = BetaResult(value, _map_line_back(phi, c, x, r), "beta", p,
+                           mass * float(r), segments, atoms, iters)
+            both.append((b, None if tilde is None
+                         else replace(b, value=tilde, variant="betaTilde")))
+        out.append(both)
     return out
+
+
+def beta_both_radii(mu: AnyMeasure, x, radii: Sequence[Scalar],
+                    p: float = 2.0,
+                    ) -> List[Tuple[BetaResult, Optional[BetaResult]]]:
+    """:func:`beta_both` at each radius of ``radii`` around one point, the
+    one-point call of :func:`beta_both_points`."""
+    return beta_both_points(mu, [x], radii, p)[0]
 
 
 def beta_both(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
@@ -558,71 +593,84 @@ class SquareFunctionDetails:
     empty_balls: int = 0
 
 
-def _sum_squares(mu: AnyMeasure, x, p: float,
-                 scales: Iterable[Tuple[float, float]],
-                 details: Optional[SquareFunctionDetails] = None,
-                 ) -> Tuple[float, float]:
-    """``sum value(r)^2 * weight`` over ``(r, weight)`` scales for both
-    variants: ``(beta_sum, betaTilde_sum)``, from one ``unit_windows`` call
-    and one :func:`_best_lines` over its windows.  Mass-normalized terms of
-    empty balls contribute 0 and are counted in ``details.empty_balls``."""
-    scales = list(scales)
-    windows = mu.unit_windows(to_fraction(x[0]), to_fraction(x[1]),
-                              [r for r, _ in scales])
-    total_b = 0.0
-    total_t = 0.0
-    for (_, weight), (obj, _, _, _, mass, _, _) in zip(
-            scales, _best_lines(windows, p)):
-        b, t = _values(obj, mass, p)
-        total_b += b * b * weight
-        if t is not None:
-            total_t += t * t * weight
-        elif details is not None:
-            details.empty_balls += 1
-    return total_b, total_t
+def sum_squares(jobs: Iterable[Tuple[AnyMeasure, object,
+                                      Iterable[Tuple[float, float]]]],
+                p: float) -> List[Tuple[float, float, int]]:
+    """``sum value(r)^2 * weight`` over the ``(r, weight)`` scales of each
+    ``(mu, x, scales)`` job, for both variants: ``(beta_sum,
+    betaTilde_sum, empty_balls)`` per job, from one ``unit_windows`` call
+    per job and one :func:`_best_lines` over the windows of every job.
+    Mass-normalized terms of empty balls contribute 0 and are counted in
+    ``empty_balls``."""
+    jobs = [(mu, x, list(scales)) for mu, x, scales in jobs]
+    lines = _job_lines([(mu, x, [r for r, _ in scales])
+                        for mu, x, scales in jobs], p)
+    out = []
+    for (_, _, scales), found in zip(jobs, lines):
+        total_b = 0.0
+        total_t = 0.0
+        empty = 0
+        for (_, weight), (obj, _, _, _, mass, _, _) in zip(scales, found):
+            b, t = _values(obj, mass, p)
+            total_b += b * b * weight
+            if t is not None:
+                total_t += t * t * weight
+            else:
+                empty += 1
+        out.append((total_b, total_t, empty))
+    return out
 
 
 def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
                     details: Optional[SquareFunctionDetails] = None,
                     ) -> Tuple[float, float]:
     """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid,
-    ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants from one
-    ``unit_windows`` call and one line per scale: ``(beta_sum,
-    betaTilde_sum)``.
+    ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants: ``(beta_sum,
+    betaTilde_sum)``, the one-job call of :func:`sum_squares`.
 
     Mass-normalized coefficients on empty balls contribute 0 and are
     counted in ``details.empty_balls``.
     """
     weight = grid.log_weight
-    return _sum_squares(mu, x, p, ((r, weight) for r in grid.radii()),
-                        details)
+    total_b, total_t, empty = sum_squares(
+        [(mu, x, [(r, weight) for r in grid.radii()])], p)[0]
+    if details is not None:
+        details.empty_balls += empty
+    return total_b, total_t
 
 
-def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
-                   lam: float = 2.0 ** -0.25) -> Tuple[float, float]:
-    """Square-function sub-sums over ``(r_lo, r_hi]``, anchored at
-    ``r_hi``, for both variants from one ``unit_windows`` call and one line
-    per scale: ``(beta_sum, betaTilde_sum)``.
+def increment_scales(r_lo: float, r_hi: float, lam: float,
+                     ) -> List[Tuple[float, float]]:
+    """The ``(r, weight)`` scales of the square-function sub-sum over
+    ``(r_lo, r_hi]``, anchored at ``r_hi``.
 
     The grid is dense (ratio ``lam``) over the ``DENSE_OCTAVES`` octaves
     above ``r_lo``, where the integrand concentrates, and one sample per
     octave further up; each sample is weighted by its own log step, so the
     whole window is still covered.
     """
-    r_lo = float(r_lo)
-    r_hi = float(r_hi)
     if not 0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
+    if not 0 < lam < 1:
+        raise ValueError("lam must lie in (0,1)")
+    out = []
+    r = r_hi
+    switch = r_lo * 2.0 ** DENSE_OCTAVES
+    while r > r_lo * (1.0 + 1e-12):
+        ratio = lam if r <= switch else 0.5
+        out.append((r, math.log(1.0 / ratio)))
+        r *= ratio
+    return out
 
-    def scales():
-        r = r_hi
-        switch = r_lo * 2.0 ** DENSE_OCTAVES
-        while r > r_lo * (1.0 + 1e-12):
-            ratio = lam if r <= switch else 0.5
-            yield r, math.log(1.0 / ratio)
-            r *= ratio
 
-    return _sum_squares(mu, x, p, scales())
+def increment_pair(mu: AnyMeasure, x, p: float, r_lo: Scalar, r_hi: Scalar,
+                   lam: float = 2.0 ** -0.25) -> Tuple[float, float]:
+    """Square-function sub-sums over :func:`increment_scales` for both
+    variants: ``(beta_sum, betaTilde_sum)``, the one-job call of
+    :func:`sum_squares`."""
+    total_b, total_t, _ = sum_squares(
+        [(mu, x, increment_scales(float(r_lo), float(r_hi), lam))], p)[0]
+    return total_b, total_t
 
 
 def beta_lower_bound_probe(mu: CantorMeasure, x, k: int, p: float,

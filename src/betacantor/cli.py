@@ -31,8 +31,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import svgfig
-from .beta import (ScaleGrid, SquareFunctionDetails, beta_both_radii,
-                   increment_pair, square_function)
+from .beta import (ScaleGrid, beta_both_points, increment_scales,
+                   sum_squares)
 from .cantor import (CantorMeasure, Schedule, UP, generate, point_of,
                      sample_address, schedule_custom, schedule_tame,
                      schedule_thm11, schedule_thm12)
@@ -369,16 +369,19 @@ def cmd_beta(cfg: ExperimentConfig) -> int:
     mu = CantorMeasure(sched, cfg.k_max)
     radii = cfg.scale_grid().radii()
     nan = float("nan")
+    points = [pt for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples,
+                                              cfg.seed)]
+    # one batched search per exponent over every point
+    found = {p: beta_both_points(mu, [(pt.x, pt.y) for pt in points],
+                                 radii, p) for p in cfg.p}
     rows = []
     # coefficient-versus-radius curves, one per sample point and p
     curves = []
-    points = _sampled_points(sched, cfg.k_max, cfg.samples, cfg.seed)
-    for i, (_, pt) in enumerate(points):
+    for i, pt in enumerate(points):
         x, y = float(pt.x), float(pt.y)
         for p in cfg.p:
             vals = []
-            for r, both in zip(radii,
-                               beta_both_radii(mu, (pt.x, pt.y), radii, p)):
+            for r, both in zip(radii, found[p][i]):
                 vals.append(both[0].value)
                 for variant, res in zip(VARIANTS, both):
                     if res is None:
@@ -402,34 +405,45 @@ def cmd_sqfn(cfg: ExperimentConfig) -> int:
     sched = cfg.schedule()
     grid = cfg.scale_grid()
     mu = CantorMeasure(sched, cfg.k_max)
+    points = [pt for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples,
+                                              cfg.seed)]
+    grid_scales = [(r, grid.log_weight) for r in grid.radii()]
+    jobs = [(mu, (pt.x, pt.y), grid_scales) for pt in points]
+    # per-generation increment windows (h_g, h_{g-1}/2], h_0 = 1
+    steps = []
+    for g in range(1, cfg.k_max + 1):
+        r_lo = float(sched.h_of(g))
+        r_hi = float(sched.h_of(g - 1)) / 2 if g >= 2 else 0.5
+        gen_points = [pt for _, pt in _sampled_points(sched, g, cfg.samples,
+                                                      cfg.seed + g)]
+        steps.append((g, r_lo, r_hi, float(sched.a_of(g)), gen_points))
+        scales = increment_scales(r_lo, r_hi, cfg.lam)
+        mu_g = CantorMeasure(sched, g)
+        jobs.extend((mu_g, (pt.x, pt.y), scales) for pt in gen_points)
+    # one batched search per exponent over every job; rows in job order
+    sums = {p: iter(sum_squares(jobs, p)) for p in cfg.p}
+
     rows = []
-    for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples, cfg.seed):
+    for pt in points:
         for p in cfg.p:
-            det = SquareFunctionDetails()
-            sums = square_function(mu, (pt.x, pt.y), p, grid, det)
-            # only the mass-normalized coefficient is undefined on empty balls
-            for variant, total, empty in zip(VARIANTS, sums,
-                                             (0, det.empty_balls)):
+            total_b, total_t, empty = next(sums[p])
+            # only the mass-normalized coefficient is undefined on empty
+            # balls
+            for variant, total, n_empty in zip(VARIANTS, (total_b, total_t),
+                                               (0, empty)):
                 rows.append((float(pt.x), float(pt.y), p, variant,
-                             grid.r_min, grid.r_max, total, empty))
+                             grid.r_min, grid.r_max, total, n_empty))
     _write_csv(out / "sqfn.csv", cfg,
                ["x", "y", "p", "variant", "r_min", "r_max",
                 "square_function", "empty_balls"], rows)
 
-    # per-generation increment windows (h_g, h_{g-1}/2], h_0 = 1
     inc_rows = []
-    for g in range(1, cfg.k_max + 1):
-        mu = CantorMeasure(sched, g)
-        r_lo = float(sched.h_of(g))
-        r_hi = float(sched.h_of(g - 1)) / 2 if g >= 2 else 0.5
-        a_g = float(sched.a_of(g))
-        gen_points = _sampled_points(sched, g, cfg.samples, cfg.seed + g)
-        for _, pt in gen_points:
+    for g, r_lo, r_hi, a_g, gen_points in steps:
+        for pt in gen_points:
             for p in cfg.p:
-                sums = increment_pair(mu, (pt.x, pt.y), p, r_lo, r_hi,
-                                      cfg.lam)
+                total_b, total_t, _ = next(sums[p])
                 a_term = a_g ** (2.0 / p)
-                for variant, sub, ref in zip(VARIANTS, sums,
+                for variant, sub, ref in zip(VARIANTS, (total_b, total_t),
                                              (a_term, r_lo + a_term)):
                     inc_rows.append((g, float(pt.x), float(pt.y), p, variant,
                                      r_lo, r_hi, sub, ref, sub / ref))

@@ -11,9 +11,10 @@ import pytest
 import betacantor as bc
 from betacantor import (AtomicMeasure, CantorMeasure, EmptyBallError,
                         RationalPoint, ScaleGrid, SegmentMeasure,
-                        WeightedSegment, beta, beta_both, point_of,
-                        sample_address, schedule_tame, schedule_thm11,
-                        square_function)
+                        WeightedSegment, beta, beta_both, beta_both_points,
+                        increment_scales, point_of, sample_address,
+                        schedule_tame, schedule_thm11, square_function,
+                        sum_squares)
 from betacantor.beta import (C_BISECT_COARSE, C_BISECT_ITERS, PHI_GRID,
                              _GOLDEN_STEPS, SquareFunctionDetails, _abs_pow,
                              _best_lines, _golden_steps, _Pieces,
@@ -455,6 +456,14 @@ class TestSquareFunction:
         square_function(mu, (5, 0), 2.0, ScaleGrid(0.5, 8.0), details=det)
         assert det.empty_balls > 0
 
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 0.0])
+    def test_increment_ratio_must_lie_in_unit_interval(self, lam):
+        # lam = 1 never shrinks the radius, so the scale list never ended
+        with pytest.raises(ValueError, match="lam"):
+            bc.increment_pair(FOUR_ATOMS, (0, 0), 1.5, 0.01, 0.5, lam)
+        with pytest.raises(ValueError, match="lam"):
+            increment_scales(0.01, 0.5, lam)
+
     def test_tame_increment_tracks_a(self):
         sched = schedule_tame(2)
         mu = CantorMeasure(sched, 2)
@@ -545,6 +554,62 @@ class TestSquareFunctionP2:
             x0 = xs[rng.randrange(len(xs))]
             assert square_function(mu, (x0, m * x0 + b), 2.0, grid) == \
                 (0.0, 0.0)
+
+
+def mixed_jobs(rng):
+    """Square-function jobs over two Cantor generations and an atomic
+    measure: increment windows at support points of generations 1 and 2,
+    grid windows of random atoms, of a row of atoms (collinear at every
+    scale) and of a center off the atoms (empty at every scale)."""
+    sched = schedule_tame(2)
+    jobs = []
+    for g in (1, 2):
+        mu = CantorMeasure(sched, g)
+        scales = increment_scales(float(sched.h_of(g)), 0.5, 0.5)
+        for _ in range(2):
+            pt = point_of(sample_address(sched, g, rng), sched)
+            jobs.append((mu, (pt.x, pt.y), scales))
+    grid = ScaleGrid(1e-2, 1.0, 0.5)
+    scales = [(r, grid.log_weight) for r in grid.radii()]
+    atoms = random_atoms(rng, 60)
+    row = AtomicMeasure([(F(i, 13), F(2, 9), 1) for i in range(-20, 20)])
+    jobs += [(atoms, (0.1, 0.2), scales), (row, (F(1, 13), F(2, 9)), scales),
+             (atoms, (3.0, 3.0), scales), (atoms, (-0.5, 0.4), scales)]
+    return jobs
+
+
+class TestBatchedJobs:
+    """Jobs of several points, measures and generations scored in one
+    batch get, bit for bit, what each gets alone."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_sum_squares_matches_one_job(self, p):
+        jobs = mixed_jobs(random.Random(61))
+        got = sum_squares(jobs, p)
+        assert got == [sum_squares([job], p)[0] for job in jobs]
+        n_scales = len(jobs[-1][2])
+        assert all(b > 0 and t > 0 and empty == 0 for b, t, empty in got[:4])
+        # the random atoms miss the smallest balls; the row of atoms is
+        # collinear, the off-support center empty
+        assert all(0 < empty < n_scales for _, _, empty in got[4::3])
+        assert got[-3] == (0.0, 0.0, 0)
+        assert got[-2] == (0.0, 0.0, n_scales)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_beta_both_points_matches_one_window(self, p):
+        sched = schedule_tame(2)
+        rng = random.Random(67)
+        radii = [0.5, 0.1, 0.02, F(1, 200)]
+        sampled = [point_of(sample_address(sched, 2, rng), sched)
+                   for _ in range(3)]
+        for mu, points in [
+                (CantorMeasure(sched, 2), [(pt.x, pt.y) for pt in sampled]),
+                (random_atoms(rng, 60), [(0.1, 0.2), (3.0, 3.0)])]:
+            got = beta_both_points(mu, points, radii, p)
+            assert got == [[beta_both(mu, x, r, p) for r in radii]
+                           for x in points]
+        # the last point sits off the atoms: every ball is empty
+        assert [t for _, t in got[-1]] == [None] * len(radii)
 
 
 class TestLowerBoundProbe:

@@ -7,8 +7,11 @@ from collections import Counter
 
 import pytest
 
+from betacantor.beta import (SquareFunctionDetails, beta_both_radii,
+                             increment_pair, square_function)
 from betacantor.cantor import CantorMeasure
-from betacantor.cli import ExperimentConfig, build_parser, load_config, main
+from betacantor.cli import (VARIANTS, ExperimentConfig, _sampled_points,
+                            _write_csv, build_parser, load_config, main)
 from betacantor.measures import read_measure
 
 
@@ -285,15 +288,14 @@ class TestOneSearchPerCoefficient:
                    command) == 0
         cores, searches = Counter(cores), Counter(searches)
         # a window enters the search at most once, only at p = 1.5 (p = 2
-        # takes the closed form), and all the searched windows of one point
-        # and exponent enter in one batch
+        # takes the closed form), and all the searched windows of the
+        # command and exponent, at every point and generation, enter in
+        # one batch
         assert set(searches.values()) == {1}
         assert set(searches) <= {key for key in cores if key[-1] == 1.5}
         assert {p for *_, p in searches} == {1.5}
         batches = [batch for batch in batches if batch]
-        assert all(len(batch) == 1 for batch in batches)
-        assert len(batches) == len({(g, x, y, p)
-                                    for g, x, y, _, p in searches})
+        assert batches == [{(g, x, y, p) for g, x, y, _, p in searches}]
         return cores, windows
 
     @staticmethod
@@ -323,3 +325,86 @@ class TestOneSearchPerCoefficient:
         assert {p for *_, p in cores} == {1.5, 2.0}
         assert sum(cores.values()) == 2 * 2 * (6 + 2 + 2)
         assert self.per_point(windows) == [[2, 2]] * 4 + [[6, 6]] * 2
+
+
+class TestBatchedCommands:
+    """``beta`` and ``sqfn`` search every point of an exponent in one
+    batch; their files must hold the rows that the one-point functions give,
+    point after point, as the commands wrote them before they batched."""
+
+    ARGS = ["--flavor", "tame", "--k-max", "2", "--samples", "3",
+            "--p", "1.5", "2", "3", "--seed", "5", "--r-min", "0.01",
+            "--r-max", "0.5", "--lambda", "0.5"]
+
+    def config(self, tmp_path):
+        return load_config(build_parser().parse_args(
+            [*self.ARGS, "--out", str(tmp_path / "want"), "beta"]))
+
+    def test_beta_rows_match_one_point_calls(self, tmp_path):
+        cfg = self.config(tmp_path)
+        sched = cfg.schedule()
+        mu = CantorMeasure(sched, cfg.k_max)
+        radii = cfg.scale_grid().radii()
+        nan = float("nan")
+        rows = []
+        for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples,
+                                     cfg.seed):
+            x, y = float(pt.x), float(pt.y)
+            for p in cfg.p:
+                for r, both in zip(radii, beta_both_radii(
+                        mu, (pt.x, pt.y), radii, p)):
+                    for variant, res in zip(VARIANTS, both):
+                        rows.append((x, y, r, p, variant, nan, nan, nan, 0.0)
+                                    if res is None else
+                                    (x, y, r, p, variant, res.value,
+                                     res.line.phi, res.line.c,
+                                     res.ball_mass))
+        want = tmp_path / "want.csv"
+        _write_csv(want, cfg, ["x", "y", "r", "p", "variant", "beta", "phi",
+                               "c", "ball_mass"], rows)
+        assert run(*self.ARGS, "--out", str(tmp_path / "got"), "beta") == 0
+        assert (tmp_path / "got" / "beta.csv").read_bytes() == \
+            want.read_bytes()
+
+    def test_sqfn_rows_match_one_point_calls(self, tmp_path):
+        cfg = self.config(tmp_path)
+        sched = cfg.schedule()
+        grid = cfg.scale_grid()
+        mu = CantorMeasure(sched, cfg.k_max)
+        rows = []
+        for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples,
+                                     cfg.seed):
+            for p in cfg.p:
+                det = SquareFunctionDetails()
+                sums = square_function(mu, (pt.x, pt.y), p, grid, det)
+                for variant, total, empty in zip(VARIANTS, sums,
+                                                 (0, det.empty_balls)):
+                    rows.append((float(pt.x), float(pt.y), p, variant,
+                                 grid.r_min, grid.r_max, total, empty))
+        inc_rows = []
+        for g in range(1, cfg.k_max + 1):
+            mu = CantorMeasure(sched, g)
+            r_lo = float(sched.h_of(g))
+            r_hi = float(sched.h_of(g - 1)) / 2 if g >= 2 else 0.5
+            a_g = float(sched.a_of(g))
+            for _, pt in _sampled_points(sched, g, cfg.samples,
+                                         cfg.seed + g):
+                for p in cfg.p:
+                    sums = increment_pair(mu, (pt.x, pt.y), p, r_lo, r_hi,
+                                          cfg.lam)
+                    a_term = a_g ** (2.0 / p)
+                    for variant, sub, ref in zip(VARIANTS, sums,
+                                                 (a_term, r_lo + a_term)):
+                        inc_rows.append((g, float(pt.x), float(pt.y), p,
+                                         variant, r_lo, r_hi, sub, ref,
+                                         sub / ref))
+        _write_csv(tmp_path / "sqfn.csv", cfg,
+                   ["x", "y", "p", "variant", "r_min", "r_max",
+                    "square_function", "empty_balls"], rows)
+        _write_csv(tmp_path / "increments.csv", cfg,
+                   ["gen", "x", "y", "p", "variant", "r_lo", "r_hi",
+                    "subsum", "reference", "ratio"], inc_rows)
+        assert run(*self.ARGS, "--out", str(tmp_path / "got"), "sqfn") == 0
+        for name in ("sqfn.csv", "increments.csv"):
+            assert (tmp_path / "got" / name).read_bytes() == \
+                (tmp_path / name).read_bytes()
