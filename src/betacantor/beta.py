@@ -33,19 +33,17 @@ core together.  The single-point functions (:func:`beta_both_radii`,
 The searches of those windows run together, in lock step: each stage (the
 coarse grid pass, the golden-section steps, the guard solves) is one set of
 numpy calls, with one row per (window, direction) holding the pieces of
-its window.  The rows are grouped by their exact piece count ``n``.  Steps
-piece by piece run on the pieces of every row at once, laid flat, and give
-each piece the value it gets in a search of its window alone.  Sums over
-the pieces of a row run once per piece count, over the C-contiguous
-``(rows, n)`` block of that count, because a row sum of such a block adds
-the same numbers in the same order whatever the number of rows.  Padding
-rows to one width, or ``np.add.reduceat`` over the ragged rows, would
-change the summation order and with it the last bits; grouping by ``n``
-keeps every result bit-identical to the search of the window alone, so a
-window's result does not depend on which windows share its batch.  The
-coarse pass, whose rows are 180 per window, runs one piece count at a time,
-in chunks of at most ``COARSE_CHUNK_PIECES`` window pieces, to keep its
-arrays small however many jobs the batch holds.
+its window.  The pieces of every row are laid flat, row after row, and
+steps piece by piece run on all of them at once, giving each piece the
+value it gets in a search of its window alone.  Sums, minima and maxima
+over a row are one ``ufunc.reduceat`` at the row starts, which reads only
+that row, so a window's result does not depend on its batch.  Each row
+opens with a pad slot whose terms are exactly 0.0: ``np.add.reduceat``
+adds a row's first element to the pairwise sum of the rest, so the pad
+keeps the numbers and order of a ``(rows, n)`` row sum, bit for bit.  The
+coarse pass, whose rows are 180 per window, runs over consecutive windows
+in chunks of at most ``COARSE_CHUNK_PIECES`` pieces (one window at least),
+to keep its arrays small however many jobs the batch holds.
 """
 
 from __future__ import annotations
@@ -125,8 +123,8 @@ class ScaleGrid:
     lam: float = 2.0 ** -0.25
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ValueError("need 0 < r_min < r_max < inf")
         if not 0 < self.lam < 1:
             raise ValueError("lam must lie in (0,1)")
 
@@ -159,46 +157,39 @@ def build_window(mu: AnyMeasure, x, r: Scalar) -> Window:
 
 class _Rows(NamedTuple):
     """The pieces of one window per row, flattened row after row into
-    ``s, e, y, m``.  Rows of one piece count ``n`` are consecutive:
-    ``blocks`` holds ``(start, rows, n)`` for each run, whose pieces are the
-    C-contiguous ``(rows, n)`` stretch of the flat arrays at ``start``, and
-    ``width`` holds the piece count of every row."""
+    ``s, e, y, m``: row ``i`` holds the ``width[i] >= 2`` slots at
+    ``starts[i]``, its pad slot and then its pieces."""
 
     s: np.ndarray
     e: np.ndarray
     y: np.ndarray
     m: np.ndarray
     width: np.ndarray
-    blocks: Tuple[Tuple[int, int, int], ...]
-
-
-def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of each run of equal consecutive values."""
-    cuts = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
-    return list(zip(cuts, cuts[1:]))
+    starts: np.ndarray
 
 
 class _Pieces:
-    """The pieces of windows sorted by piece count, concatenated once; rows
-    of any of the windows are gathered from them."""
+    """The pieces of nonempty windows, concatenated once, each window's led
+    by its pad slot, a zero-mass point at the start of its first piece;
+    rows of any of the windows are gathered from them."""
 
     def __init__(self, windows: Sequence[Window]):
         self.n = np.array([len(w.m) for w in windows])
-        self.start = np.cumsum(self.n) - self.n
-        self.flat = [np.concatenate([getattr(w, k) for w in windows])
-                     for k in "seym"]
+        cut = np.cumsum(self.n) - self.n
+        self.start = cut + np.arange(len(cut))
+        s, e, y, m = (np.concatenate([getattr(w, k) for w in windows])
+                      for k in "seym")
+        self.flat = [np.insert(a, cut, pad) for a, pad in
+                     ((s, s[cut]), (e, s[cut]), (y, y[cut]), (m, 0.0))]
 
     def rows(self, owner: np.ndarray) -> _Rows:
-        """Row ``i`` holds the pieces of window ``owner[i]``; ``owner`` is
-        nondecreasing, so rows of one piece count are consecutive."""
-        width = self.n[owner]
+        """Row ``i`` holds the pad and the pieces of window ``owner[i]``."""
+        width = self.n[owner] + 1
         end = np.cumsum(width)
-        first = end - width
-        blocks = tuple((int(first[a]), b - a, int(width[a]))
-                       for a, b in _runs(width))
-        index = np.arange(end[-1]) + np.repeat(self.start[owner] - first,
+        starts = end - width
+        index = np.arange(end[-1]) + np.repeat(self.start[owner] - starts,
                                                width)
-        return _Rows(*(a[index] for a in self.flat), width, blocks)
+        return _Rows(*(a[index] for a in self.flat), width, starts)
 
 
 class _Projection:
@@ -210,20 +201,23 @@ class _Projection:
     or point masses where the projected width vanishes (atoms, and
     segments orthogonal to the direction), for which the ``|u - c|^p``
     moments have closed forms.  Every piece-wise step runs on the flat
-    arrays at once; sums over the pieces of a row run block by block (see
-    the module docstring).  Piece arrays are combined in place where that
-    keeps fewer of them alive: the coarse pass holds 180 rows per window,
-    and its peak sets the memory of the search.
+    arrays at once; each reduction over a row is one ``reduceat`` at the
+    row starts.  A pad slot (see the module docstring) lies on its row's
+    first piece, so it moves no bound, and has ``lam = 0`` off the point
+    masses, so its terms are ``(x - x) * 0 = 0.0``.  Piece arrays are
+    combined in place where that keeps fewer of them alive: the coarse
+    pass holds 180 rows per window, and its peak sets the memory of the
+    search.
     """
 
-    __slots__ = ("width", "blocks", "ulo", "uhi", "lam", "umid", "pmass",
+    __slots__ = ("width", "starts", "ulo", "uhi", "lam", "umid", "pmass",
                  "is_pt", "any_pt", "lo", "hi")
 
     def __init__(self, rows, phis: np.ndarray):
         if isinstance(rows, Window):
             rows = _Pieces([rows]).rows(np.zeros(len(phis), dtype=int))
         self.width = rows.width
-        self.blocks = rows.blocks
+        self.starts = rows.starts
         cos = np.repeat(np.cos(phis), rows.width)
         ysin = np.repeat(np.sin(phis), rows.width)
         ysin *= rows.y
@@ -237,20 +231,14 @@ class _Projection:
         self.pmass = rows.m
         du = self.uhi - self.ulo
         self.is_pt = du <= 1e-14
-        self.any_pt = bool(self.is_pt.any())
         with np.errstate(divide="ignore", invalid="ignore"):
             self.lam = np.where(self.is_pt, 0.0,
                                 self.pmass / np.where(self.is_pt, 1.0, du))
+        self.is_pt[self.starts] = False
+        self.any_pt = bool(self.is_pt.any())
         self.umid = 0.5 * (self.ulo + self.uhi)
-        self.lo = self._per_row(np.minimum, self.ulo)
-        self.hi = self._per_row(np.maximum, self.uhi)
-
-    def _per_row(self, ufunc: np.ufunc, flat: np.ndarray) -> np.ndarray:
-        """``ufunc`` reduced over the pieces of each row, one block at a
-        time, as rows of a C-contiguous ``(rows, n)`` array."""
-        return np.concatenate([
-            ufunc.reduce(flat[a:a + r * n].reshape(r, n), axis=1)
-            for a, r, n in self.blocks])
+        self.lo = np.minimum.reduceat(self.ulo, self.starts)
+        self.hi = np.maximum.reduceat(self.uhi, self.starts)
 
     def moment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Closed-form ``int |u - c|^p`` against the projected measure
@@ -265,7 +253,7 @@ class _Projection:
         if self.any_pt:
             np.copyto(cont, self.pmass * _abs_pow(self.umid - c, p),
                       where=self.is_pt)
-        return self._per_row(np.add, cont)
+        return np.add.reduceat(cont, self.starts)
 
     def dmoment(self, c: np.ndarray, p: float) -> np.ndarray:
         """Derivative of :meth:`moment` in ``c`` (nondecreasing in ``c``)."""
@@ -277,7 +265,7 @@ class _Projection:
             w = self.umid - c
             np.copyto(cont, (-p) * self.pmass * np.sign(w)
                       * _abs_pow(w, p - 1.0), where=self.is_pt)
-        return self._per_row(np.add, cont)
+        return np.add.reduceat(cont, self.starts)
 
     def minimize_offset(self, p: float, iters: int = C_BISECT_ITERS,
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -390,6 +378,21 @@ def _brackets(win: Window, grid: np.ndarray, objs: np.ndarray,
     return dedup
 
 
+def _coarse_chunks(n: np.ndarray) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of runs of consecutive windows, of piece counts
+    ``n``, that the coarse pass takes together: at most
+    ``COARSE_CHUNK_PIECES`` pieces per run, and one window at least."""
+    cuts = [0]
+    held = 0
+    for i, count in enumerate(n.tolist()):
+        if held and held + count > COARSE_CHUNK_PIECES:
+            cuts.append(i)
+            held = 0
+        held += count
+    cuts.append(len(n))
+    return list(zip(cuts, cuts[1:]))
+
+
 def _search(windows: Sequence[Window], p: float,
             ) -> List[Tuple[float, float, float, int]]:
     """General-``p`` minimizer of each window, ``(phi, c, objective,
@@ -399,33 +402,29 @@ def _search(windows: Sequence[Window], p: float,
     windows run in lock step, as the module docstring sets out."""
     if not windows:
         return []
-    order = sorted(range(len(windows)), key=lambda i: len(windows[i].m))
-    wins = [windows[i] for i in order]
-    pieces = _Pieces(wins)
+    pieces = _Pieces(windows)
     grid = np.arange(PHI_GRID) * (math.pi / PHI_GRID)
     objs = []
-    for start, stop in _runs(pieces.n):
-        chunk = max(1, COARSE_CHUNK_PIECES // int(pieces.n[start]))
-        for a in range(start, stop, chunk):
-            b = min(a + chunk, stop)
-            # no name holds the rows or the projection past its own pass
-            _, found = _Projection(
-                pieces.rows(np.repeat(np.arange(a, b), PHI_GRID)),
-                np.tile(grid, b - a)).minimize_offset(p, C_BISECT_COARSE)
-            objs.extend(found.reshape(b - a, PHI_GRID))
+    for a, b in _coarse_chunks(pieces.n):
+        # no name holds the rows or the projection past its own pass
+        _, found = _Projection(
+            pieces.rows(np.repeat(np.arange(a, b), PHI_GRID)),
+            np.tile(grid, b - a)).minimize_offset(p, C_BISECT_COARSE)
+        objs.extend(found.reshape(b - a, PHI_GRID))
 
     step = math.pi / PHI_GRID
-    brackets = [_brackets(win, grid, o, step) for win, o in zip(wins, objs)]
+    brackets = [_brackets(win, grid, o, step)
+                for win, o in zip(windows, objs)]
     counts = [len(b) for b in brackets]
     centers = np.array([c for b in brackets for c in b])
-    rows = pieces.rows(np.repeat(np.arange(len(wins)), counts))
+    rows = pieces.rows(np.repeat(np.arange(len(windows)), counts))
     bphi, bc, bobj = _golden(rows, p, centers, step)
     # fully converged solves at the bracket centers guard the coarse pass
     ccs, cobjs = _Projection(rows, centers).minimize_offset(p)
 
-    out: List = [None] * len(windows)
+    out = []
     start = 0
-    for i, count in zip(order, counts):
+    for count in counts:
         sl = slice(start, start + count)
         start += count
         best_i = int(np.argmin(bobj[sl]))
@@ -445,7 +444,7 @@ def _search(windows: Sequence[Window], p: float,
             c = -c
         iterations = (PHI_GRID * C_BISECT_COARSE
                       + (_GOLDEN_STEPS + 1) * count * C_BISECT_ITERS)
-        out[i] = (phi, c, obj, iterations)
+        out.append((phi, c, obj, iterations))
     return out
 
 
@@ -479,8 +478,8 @@ def _best_lines(windows: Iterable[Window], p: float,
     line, and at p = 2 the closed form is taken.  Only the windows left
     for the general-``p`` search are held, and they are searched together
     by :func:`_search` once ``windows`` is exhausted."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     out: List = []
     held: List[Tuple[int, Window]] = []
     for win in windows:
@@ -649,8 +648,8 @@ def increment_scales(r_lo: float, r_hi: float, lam: float,
     octave further up; each sample is weighted by its own log step, so the
     whole window is still covered.
     """
-    if not 0 < r_lo < r_hi:
-        raise ValueError("need 0 < r_lo < r_hi")
+    if not 0 < r_lo < r_hi < math.inf:
+        raise ValueError("need 0 < r_lo < r_hi < inf")
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0,1)")
     out = []

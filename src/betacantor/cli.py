@@ -181,14 +181,17 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.p is not None:
         cfg.p = tuple(float(v) for v in args.p)
     for p in cfg.p:
-        if p < 1:
-            raise ConfigError("every p must be >= 1")
+        if not 1 <= p < math.inf:
+            raise ConfigError("every p must be finite and >= 1")
     if cfg.k_max < 0:
         raise ConfigError("k_max must be nonnegative")
     if cfg.samples < 1:
         raise ConfigError("samples must be positive")
     if not 0 < cfg.lam < 1:
         raise ConfigError("lambda must lie in (0,1)")
+    for key in ("r_min", "r_max"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
     if not 0 < cfg.r_min < cfg.r_max:
         raise ConfigError("need 0 < r_min < r_max")
     # corona / approx parameters, checked here so that a bad value exits 2

@@ -15,9 +15,10 @@ from betacantor import (AtomicMeasure, CantorMeasure, EmptyBallError,
                         increment_scales, point_of, sample_address,
                         schedule_tame, schedule_thm11, square_function,
                         sum_squares)
-from betacantor.beta import (C_BISECT_COARSE, C_BISECT_ITERS, PHI_GRID,
-                             _GOLDEN_STEPS, SquareFunctionDetails, _abs_pow,
-                             _best_lines, _golden_steps, _Pieces,
+from betacantor.beta import (C_BISECT_COARSE, C_BISECT_ITERS,
+                             COARSE_CHUNK_PIECES, PHI_GRID, _GOLDEN_STEPS,
+                             SquareFunctionDetails, _abs_pow, _best_lines,
+                             _coarse_chunks, _golden_steps, _Pieces,
                              _Projection, best_line_p2_window,
                              best_line_search_window, build_window)
 from betacantor.measures import Window
@@ -116,6 +117,13 @@ class TestNormalizations:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             beta(FOUR_ATOMS, (0, 0), 1, p=0.7)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            beta(FOUR_ATOMS, (0, 0), 1, p=p)
+        with pytest.raises(ValueError, match="finite"):
+            _best_lines([build_window(FOUR_ATOMS, (0, 0), 1)], p)
 
 
 class TestCollinear:
@@ -252,9 +260,10 @@ class TestBestLineSearch:
 
 
 def mixed_windows(rng):
-    """Windows of several piece counts (some shared, so a piece-count group
-    holds many windows), mixing segments and atoms, plus an empty window,
-    a horizontal segment row and slanted collinear atoms."""
+    """Windows of several piece counts, some shared, mixing segments and
+    atoms, plus an empty window, a horizontal segment row, slanted
+    collinear atoms and, last, one window of more pieces than a coarse
+    chunk holds."""
     wins = []
     for n in (2, 2, 2, 3, 5, 5, 9, 9, 9, 9, 24, 61):
         s = np.array([rng.uniform(-0.8, 0.5) for _ in range(n)])
@@ -267,6 +276,11 @@ def mixed_windows(rng):
     wins.insert(7, Window([-0.5, 0.1], [-0.2, 0.6], [0.25, 0.25], [1, 2]))
     xs = np.array([-0.6, -0.1, 0.2, 0.45])
     wins.insert(10, Window(xs, xs, 0.75 * xs - 0.1, [1.0, 0.5, 2.0, 1.0]))
+    big = COARSE_CHUNK_PIECES + 37
+    s = np.array([rng.uniform(-0.9, 0.6) for _ in range(big)])
+    wins.append(Window(s, s + 0.05, [rng.uniform(-0.7, 0.7)
+                                     for _ in range(big)],
+                       [rng.uniform(0.05, 2.0) for _ in range(big)]))
     return wins
 
 
@@ -300,27 +314,48 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_projection_rows_sum_as_one_window(self, p):
-        # rows of many windows and piece counts, laid flat, against the
-        # (rows, n) sums of each window alone
+        # rows of many windows and piece counts, in no order, against the
+        # projection of each window alone and the (rows, n) sums of each
         rng = random.Random(89)
-        wins = sorted((w for w in mixed_windows(rng) if len(w.m)),
-                      key=lambda w: len(w.m))
+        wins = [w for w in mixed_windows(rng) if len(w.m)]
         owner = np.repeat(np.arange(len(wins)), 7)
+        np.random.default_rng(5).shuffle(owner)
+        width = np.array([len(wins[k].m) for k in owner])
+        assert len(set(width.tolist())) > 4
+        assert np.any(np.diff(width) < 0) and np.any(np.diff(width) > 0)
         phis = np.array([rng.choice([rng.uniform(0, math.pi), math.pi / 2])
                          for _ in owner])
         c = np.array([rng.uniform(-1, 1) for _ in owner])
         prj = _Projection(_Pieces(wins).rows(owner), phis)
-        assert len(prj.blocks) > 1
         got = prj.moment(c, p), prj.dmoment(c, p)
         for k, win in enumerate(wins):
             rows = owner == k
+            alone = _Projection(win, phis[rows])
+            assert got[0][rows].tolist() == \
+                alone.moment(c[rows], p).tolist()
+            assert got[1][rows].tolist() == \
+                alone.dmoment(c[rows], p).tolist()
             want = window_moments(win, phis[rows], c[rows], p)
             assert got[0][rows].tolist() == want[0].tolist()
             assert got[1][rows].tolist() == want[1].tolist()
+        # a pad is no point mass, so rows of segments skip the point path
+        segments = [w for w in wins if np.all(w.e > w.s)]
+        assert segments and not any(
+            _Projection(w, np.array([0.3, 1.2])).any_pt for w in segments)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_mixed_batch_matches_one_window(self, p):
-        wins = mixed_windows(random.Random(83))
+        # in no order by piece count: the big window fills a coarse chunk
+        # alone, and other coarse chunks mix piece counts
+        rng = random.Random(83)
+        wins = mixed_windows(rng)
+        rng.shuffle(wins)
+        counts = np.array([len(w.m) for w in wins
+                           if len(w.m) and w.collinear_line() is None])
+        chunks = [set(counts[a:b].tolist())
+                  for a, b in _coarse_chunks(counts)]
+        assert {COARSE_CHUNK_PIECES + 37} in chunks
+        assert any(len(chunk) > 2 for chunk in chunks)
         got = _best_lines(iter(wins), p)
         assert got == [_best_lines([win], p)[0] for win in wins]
         searched = [res for res in got if res[3] > 0]
@@ -463,6 +498,17 @@ class TestSquareFunction:
             bc.increment_pair(FOUR_ATOMS, (0, 0), 1.5, 0.01, 0.5, lam)
         with pytest.raises(ValueError, match="lam"):
             increment_scales(0.01, 0.5, lam)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.01, math.inf), (math.nan, 0.5), (0.01, math.nan),
+        (-math.inf, 0.5)])
+    def test_radii_must_be_finite(self, lo, hi):
+        # the checks run before either loop, which an infinite top radius
+        # would never end
+        with pytest.raises(ValueError, match="inf"):
+            ScaleGrid(lo, hi)
+        with pytest.raises(ValueError, match="inf"):
+            increment_scales(lo, hi, 0.5)
 
     def test_tame_increment_tracks_a(self):
         sched = schedule_tame(2)

@@ -157,6 +157,29 @@ class TestExitCodes:
         assert run("--flavor", "tame", "--p", "0.5",
                    "--out", str(tmp_path / "x"), "beta") == 2
 
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("beta", "--p", "nan", "p"), ("beta", "--p", "inf", "p"),
+        ("beta", "--r-max", "inf", "r_max"),
+        ("sqfn", "--r-max", "inf", "r_max"),
+        ("sqfn", "--r-min", "nan", "r_min"),
+        ("beta", "--r-min", "inf", "r_min"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, command, flag,
+                                        value, key):
+        # an infinite r_max never ended the radius grid; p = nan wrote nan
+        assert run("--flavor", "tame", "--k-max", "1", flag, value,
+                   "--out", str(tmp_path / "x"), command) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", [1.5, float("inf")]), ("r_max", float("nan"))])
+    def test_non_finite_config_values_rejected(self, tmp_path, capsys, key,
+                                               value):
+        path = write_config(tmp_path, **{key: value})
+        assert run("--config", str(path), "beta") == 2
+        assert key in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
