@@ -20,15 +20,17 @@ L^2 line and the horizontal direction).
 
 Every coefficient, single, over the radii of many points or summed into
 square functions, scores its windows through one core: an empty window
-gives 0; a collinear support (screened by the window's moments first)
-gives 0 on its line; p = 2 takes the closed-form smallest eigenvalue; any
-other p runs the search.  Callers hand the core a batch of jobs, each a
-measure, a point and its radii: :func:`beta_both_points` takes one job per
-point, :func:`sum_squares` one per square function, each job with its own
-measure and scales.  The measure gives all the windows of a job in one
-``unit_windows`` call, and the windows of every job of the batch go to the
-core together.  The single-point functions (:func:`beta_both_radii`,
-:func:`square_function`, :func:`increment_pair`) are batches of one job.
+gives 0; a window whose builder found a line carrying every piece
+(``Window.line``, decided exactly from the int pieces) gives 0 on that
+line; p = 2 takes the closed-form smallest eigenvalue of the window's
+moments; any other p runs the search.  Callers hand the core a batch of
+jobs, each a measure, a point and its radii: :func:`beta_both_points` takes
+one job per point, :func:`sum_squares` one per square function, each job
+with its own measure and scales.  The measure gives all the windows of a
+job in one ``unit_windows`` call, and the windows of every job of the
+batch go to the core together.  The single-point functions
+(:func:`beta_both_radii`, :func:`square_function`, :func:`increment_pair`)
+are batches of one job.
 
 The searches of those windows run together, in lock step: each stage (the
 coarse grid pass, the golden-section steps, the guard solves) is one set of
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import EmptyBallError
 from .geometry import Line, Scalar, to_fraction
-from .measures import AnyMeasure, Window, centered_moments
+from .measures import AnyMeasure, Window
 
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
@@ -286,6 +288,23 @@ class _Projection:
 # closed-form p = 2 minimizer
 # ---------------------------------------------------------------------------
 
+def _centered_moments(win: Window) -> Tuple[float, ...]:
+    """Centroid, centered second moments and their smallest eigenvalue
+    ``(cx, cy, cxx, cyy, cxy, lam_min)`` of a window of positive mass, from
+    the raw moments of its pieces (exact closed forms per piece);
+    ``lam_min`` is the L^2 objective of the best line."""
+    m, w = win.mass, win.m
+    mx = 0.5 * (win.s + win.e)
+    mxx = (win.s ** 2 + win.s * win.e + win.e ** 2) / 3.0
+    cx, cy = (w * mx).sum() / m, (w * win.y).sum() / m
+    cxx = (w * mxx).sum() - m * cx * cx
+    cyy = (w * win.y ** 2).sum() - m * cy * cy
+    cxy = (w * mx * win.y).sum() - m * cx * cy
+    half_tr = 0.5 * (cxx + cyy)
+    disc = math.sqrt(max(0.0, (0.5 * (cxx - cyy)) ** 2 + cxy * cxy))
+    return cx, cy, cxx, cyy, cxy, max(0.0, half_tr - disc)
+
+
 def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
     """Global L^2 minimizer in rescaled coordinates.
 
@@ -293,10 +312,9 @@ def best_line_p2_window(win: Window) -> Tuple[float, float, float]:
     eigenvector of the centered second-moment matrix; the objective equals
     the smallest eigenvalue.  Returns ``(phi, c, objective)``.
     """
-    moments = win.moments()
-    if moments[0] <= 0.0:
+    if win.mass <= 0.0:
         raise EmptyBallError("zero clipped mass")
-    cx, cy, cxx, cyy, cxy, lam_min = centered_moments(*moments)
+    cx, cy, cxx, cyy, cxy, lam_min = _centered_moments(win)
     # normal direction: eigenvector of the smallest eigenvalue
     v1 = (cxy, lam_min - cxx)
     v2 = (lam_min - cyy, cxy)
@@ -474,10 +492,10 @@ def _best_lines(windows: Iterable[Window], p: float,
     followed by the window's ``(mass, n_segments, n_atoms)``.
 
     Each window is scored as it arrives: an empty window scores 0 (on the
-    horizontal line through the center), a collinear support 0 on its
-    line, and at p = 2 the closed form is taken.  Only the windows left
-    for the general-``p`` search are held, and they are searched together
-    by :func:`_search` once ``windows`` is exhausted."""
+    horizontal line through the center), a window with a ``line`` 0 on
+    that line, and at p = 2 the closed form is taken.  Only the windows
+    left for the general-``p`` search are held, and they are searched
+    together by :func:`_search` once ``windows`` is exhausted."""
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     out: List = []
@@ -487,9 +505,8 @@ def _best_lines(windows: Iterable[Window], p: float,
         if win.mass <= 0.0:
             out.append((0.0, math.pi / 2, 0.0, 0, *facts))
             continue
-        line = win.collinear_line()
-        if line is not None:
-            out.append((0.0, line.phi, line.c, 0, *facts))
+        if win.line is not None:
+            out.append((0.0, win.line.phi, win.line.c, 0, *facts))
         elif p == 2.0:
             phi, c, obj = best_line_p2_window(win)
             out.append((max(0.0, obj), phi, c, 0, *facts))
@@ -585,13 +602,6 @@ def beta(mu: AnyMeasure, x, r: Scalar, p: float = 2.0,
 # multiscale aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SquareFunctionDetails:
-    """Diagnostics of a square-function sum."""
-
-    empty_balls: int = 0
-
-
 def sum_squares(jobs: Iterable[Tuple[AnyMeasure, object,
                                       Iterable[Tuple[float, float]]]],
                 p: float) -> List[Tuple[float, float, int]]:
@@ -621,20 +631,16 @@ def sum_squares(jobs: Iterable[Tuple[AnyMeasure, object,
 
 
 def square_function(mu: AnyMeasure, x, p: float, grid: ScaleGrid,
-                    details: Optional[SquareFunctionDetails] = None,
                     ) -> Tuple[float, float]:
     """Riemann-sum approximation of ``int beta(x,r)^2 dr/r`` over the grid,
     ``sum_m value(r_m)^2 * ln(1/lam)``, for both variants: ``(beta_sum,
     betaTilde_sum)``, the one-job call of :func:`sum_squares`.
-
-    Mass-normalized coefficients on empty balls contribute 0 and are
-    counted in ``details.empty_balls``.
+    Mass-normalized coefficients on empty balls contribute 0; the count of
+    those balls is the third element of :func:`sum_squares`.
     """
     weight = grid.log_weight
-    total_b, total_t, empty = sum_squares(
+    total_b, total_t, _ = sum_squares(
         [(mu, x, [(r, weight) for r in grid.radii()])], p)[0]
-    if details is not None:
-        details.empty_balls += empty
     return total_b, total_t
 
 

@@ -194,16 +194,17 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"{key} must be finite")
     if not 0 < cfg.r_min < cfg.r_max:
         raise ConfigError("need 0 < r_min < r_max")
-    # corona / approx parameters, checked here so that a bad value exits 2
-    if cfg.a0 < MIN_A0:
+    # corona / approx parameters, checked here so that a bad value exits 2;
+    # each check is written so that NaN fails it
+    if not cfg.a0 >= MIN_A0:
         raise ConfigError(f"a0 must be at least {MIN_A0}")
-    if cfg.c0 < 1:
+    if not cfg.c0 >= 1:
         raise ConfigError("c0 must be at least 1")
     if cfg.depth < 0:
         raise ConfigError("depth must be nonnegative")
-    if cfg.c_thr <= 1:
+    if not cfg.c_thr > 1:
         raise ConfigError("c_thr must exceed 1")
-    if cfg.vitali_lambda <= 2:
+    if not cfg.vitali_lambda > 2:
         raise ConfigError("vitali_lambda must exceed 2")
     if _rational("rho", cfg.rho) <= 0:
         raise ConfigError("rho must be positive")

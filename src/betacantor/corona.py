@@ -148,7 +148,7 @@ def build_lattice(mu: AtomicMeasure, a0: float = 50.0,
 
     The top level is anchored so a single cube holds the whole support.
     """
-    if a0 < MIN_A0:
+    if not a0 >= MIN_A0:
         raise ValueError(f"a0 must be at least {MIN_A0} for the containment "
                          "and disjointness constraints")
     if len(mu) == 0:
@@ -276,7 +276,7 @@ def corona_decompose(lattice: Lattice, c_thr: float = 2.0) -> CoronaTree:
     mass while the normalization keeps growing, which would artificially
     deflate every coarse-scale density and trigger spurious stops.
     """
-    if c_thr <= 1:
+    if not c_thr > 1:
         raise ValueError("c_thr must exceed 1")
     mu = lattice.mu
     tree = CoronaTree(lattice, c_thr)

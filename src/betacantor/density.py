@@ -90,7 +90,7 @@ def doubling_scales(mu: AnyMeasure, x, lam: float, c_star: float,
                     grid: ScaleGrid) -> List[float]:
     """Grid radii ``r`` where ``B(x, r)`` passes both tests of
     :func:`doubling_growth`."""
-    if lam <= 2:
+    if not lam > 2:
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
     radii = grid.radii()
@@ -110,7 +110,7 @@ def doubling_descent(mu: AnyMeasure, x, s: float, lam: float,
     Returns None when the threshold is never reached within 60 steps (the
     start must have ``mu(B(x,s))/s <= 2 c_star``).
     """
-    if lam <= 2:
+    if not lam > 2:
         raise ValueError("the dilation factor must exceed 2")
     fx, fy = float(x[0]), float(x[1])
     s = float(s)
@@ -174,7 +174,7 @@ def build_mu_tilde(mu: AnyMeasure, lam: float, rho: Scalar, eps: float,
     the required coverage within ``MAX_BALLS`` balls (``rho`` too small
     for the support resolution).
     """
-    if lam <= 2:
+    if not lam > 2:
         raise ValueError("the dilation factor must exceed 2")
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")

@@ -22,9 +22,13 @@ protocol (the first two methods) and the window protocol (the last two):
   restriction to the closed ball ``B((cx, cy), r)`` (exact rational
   center), rescaled to the unit ball at the origin, for the best-line
   coefficients: one array of weighted horizontal pieces, where an atom is
-  a piece of zero length;
+  a piece of zero length, with the line carrying them all, if one does,
+  decided exactly from the int pieces kept;
 * ``candidate_centers(rho, seed, max_centers)`` -- sorted, distinct,
   deterministic support points, for centering candidate balls.
+
+The module holds exact data and the windows built from it; every float fit
+of a line to a window lives in ``beta``.
 """
 
 from __future__ import annotations
@@ -45,25 +49,24 @@ from .geometry import (CLIP_REL_TOL, Ball, Line, RationalPoint, Scalar,
 if TYPE_CHECKING:
     from .cantor import CantorMeasure
 
-#: collinear-support test, in rescaled units
-COLLINEAR_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
-
 
 class Window:
     """A measure restricted to a ball and rescaled to the unit ball at the
     origin: float arrays of horizontal pieces ``[s, e] x {y}`` of mass
-    ``m``; a piece with ``s == e`` is a point mass."""
+    ``m``; a piece with ``s == e`` is a point mass.  ``line`` is a line
+    carrying every piece (through the origin when there is none), or None
+    where no line does: the window's builder decides it exactly, from the
+    int pieces it keeps, and states it in rescaled units."""
 
-    __slots__ = ("s", "e", "y", "m", "mass", "_moments")
+    __slots__ = ("s", "e", "y", "m", "mass", "line")
 
-    def __init__(self, s, e, y, m):
+    def __init__(self, s, e, y, m, line: Optional[Line]):
         self.s = np.asarray(s, dtype=float)
         self.e = np.asarray(e, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.m = np.asarray(m, dtype=float)
         self.mass = float(self.m.sum())
-        self._moments: Optional[Tuple[float, ...]] = None
+        self.line = line
 
     @property
     def n_segments(self) -> int:
@@ -73,86 +76,16 @@ class Window:
     def n_atoms(self) -> int:
         return int(np.count_nonzero(self.e == self.s))
 
-    def support_points(self) -> np.ndarray:
-        return np.vstack([np.column_stack([self.s, self.y]),
-                          np.column_stack([self.e, self.y])])
 
-    def moments(self) -> Tuple[float, ...]:
-        """Mass, raw first moments (x, y) and raw second moments (xx, yy,
-        xy) of the pieces (exact closed forms per piece), computed once."""
-        if self._moments is None:
-            w = self.m
-            mx = 0.5 * (self.s + self.e)
-            mxx = (self.s ** 2 + self.s * self.e + self.e ** 2) / 3.0
-            self._moments = (self.mass, (w * mx).sum(), (w * self.y).sum(),
-                             (w * mxx).sum(), (w * self.y ** 2).sum(),
-                             (w * mx * self.y).sum())
-        return self._moments
-
-    def collinear_line(self) -> Optional[Line]:
-        """:func:`collinear_line` of the support, skipped (None) where the
-        smallest eigenvalue of :meth:`moments` rules collinearity out.
-
-        A support that :func:`collinear_line` accepts has every float
-        residual within ``COLLINEAR_TOL``, so every true distance to that
-        line is below ``2 * COLLINEAR_TOL`` (for a segment too: the distance
-        is affine along it, so its endpoints bound it), and the exact
-        eigenvalue is at most ``4 * COLLINEAR_TOL^2 * mass``.  The computed
-        one is off by about ``8 (k + 2) eps * mass`` at most, for ``k``
-        pieces: each of the six sums adds ``k`` terms of size at most
-        ``m_i`` (rescaled points lie in the unit ball), so it is off by at
-        most ``(k + 2) eps * mass``; each centered entry carries its raw
-        sum's error and three more through ``sx^2 / m`` (the centroid lies
-        in the unit ball too); and by Weyl's inequality the eigenvalue moves
-        by at most twice the largest entry error.  The slack ``16 (k + 2)
-        eps * mass`` doubles that, so a window whose eigenvalue exceeds
-        ``mass * (4 COLLINEAR_TOL^2 + 16 (k + 2) eps)`` is not
-        collinear."""
-        if self.mass > 0.0:
-            slack = self.mass * (4.0 * COLLINEAR_TOL ** 2
-                                 + 16.0 * (len(self.m) + 2) * _EPS)
-            if centered_moments(*self.moments())[5] > slack:
-                return None
-        return collinear_line(self.support_points())
-
-
-def collinear_line(pts: np.ndarray) -> Optional[Line]:
-    """Return a line carrying every point of an ``(n, 2)`` array (within
-    ``COLLINEAR_TOL``, in rescaled units), or None."""
-    if len(pts) == 0:
+def _horizontal(x: np.ndarray, y: np.ndarray) -> Line:
+    """The horizontal line carrying the points ``(x, y)`` of one height, in
+    normal form through the leftmost (``cos(pi / 2)`` is 6.1e-17 in floats,
+    not 0, so the offset depends on the point); through the origin when
+    there are no points."""
+    if not len(x):
         return Line.horizontal(0.0)
-    if len(pts) == 1:
-        return Line.horizontal(pts[0, 1])
-    # two extreme support points span the candidate line when the support
-    # is genuinely collinear
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p0, p1 = pts[order[0]], pts[order[-1]]
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    norm = math.hypot(dx, dy)
-    if norm < COLLINEAR_TOL:  # all support at one point
-        return Line.horizontal(p0[1])
-    nx, ny = -dy / norm, dx / norm
-    phi = math.atan2(ny, nx) % math.pi
-    line = Line(phi, p0[0] * math.cos(phi) + p0[1] * math.sin(phi))
-    resid = np.abs(pts[:, 0] * math.cos(line.phi)
-                   + pts[:, 1] * math.sin(line.phi) - line.c)
-    if resid.max() <= COLLINEAR_TOL:
-        return line
-    return None
-
-
-def centered_moments(m, sx, sy, sxx, syy, sxy):
-    """Centroid, centered second moments and their smallest eigenvalue
-    ``(cx, cy, cxx, cyy, cxy, lam_min)`` from the raw moments of
-    :meth:`Window.moments`; ``lam_min`` is the L^2 objective of the best
-    line."""
-    cx, cy = sx / m, sy / m
-    cxx = sxx - m * cx * cx
-    cyy = syy - m * cy * cy
-    cxy = sxy - m * cx * cy
-    half_tr = 0.5 * (cxx + cyy)
-    disc = math.sqrt(max(0.0, (0.5 * (cxx - cyy)) ** 2 + cxy * cxy))
-    return cx, cy, cxx, cyy, cxy, max(0.0, half_tr - disc)
+    phi = math.pi / 2
+    return Line(phi, x.min() * math.cos(phi) + y[0] * math.sin(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +179,13 @@ def _unit_window(u: int, rows: Iterable[Tuple[int, int, int, int]],
     """The pieces in the ball rescaled to the unit ball, in row order: each
     rescaled coordinate and density is one int / int division, correctly
     rounded like ``float(Fraction)``, then the chord clip runs in floats
-    with tolerance ``CLIP_REL_TOL`` relative to the unit radius."""
+    with tolerance ``CLIP_REL_TOL`` relative to the unit radius.  The
+    pieces kept lie on one line exactly when they have at most one int
+    height, as each has positive length."""
     _, k, cx, cy, r = _lift(u, ball)
     fr = float(ball.radius)
     pieces: List[Tuple[float, float, float, float]] = []
+    heights = set()
     for y, x, w, m in rows:
         fy = (y * k - cy) / r
         if abs(fy) > 1.0 + CLIP_REL_TOL:
@@ -259,10 +195,12 @@ def _unit_window(u: int, rows: Iterable[Tuple[int, int, int, int]],
         e = min(((x + w) * k - cx) / r, hw)
         if e - s > 0.0:
             pieces.append((s, e, fy, m / w * fr))
+            heights.add(y)
     s, e, y, rho = np.array(pieces, dtype=float).reshape(-1, 4).T.copy()
     # a unit of rescaled density keeps its value while lengths shrink by r,
     # so rescaled masses are the original ones divided by r
-    return Window(s, e, y, rho * (1.0 / fr) * (e - s))
+    return Window(s, e, y, rho * (1.0 / fr) * (e - s),
+                  _horizontal(s, y) if len(heights) <= 1 else None)
 
 
 @dataclass(frozen=True)
@@ -430,23 +368,58 @@ class AtomicMeasure:
         cum = np.concatenate(([0.0], np.cumsum(ms[near][order])))
         return cum[np.searchsorted(d[order], radii, side="right")]
 
+    @cached_property
+    def _height_ids(self) -> np.ndarray:
+        """One id per atom, shared by the atoms of one int height."""
+        ids: Dict[int, int] = {}
+        return np.array([ids.setdefault(y, len(ids))
+                         for y, *_ in self._int_rows[1]], dtype=np.intp)
+
+    def _line(self, index: np.ndarray, x: np.ndarray,
+              y: np.ndarray) -> Optional[Line]:
+        """The line carrying the atoms ``index``, rescaled to ``(x, y)``, or
+        None: horizontal when they share one height or there are none, else
+        through the first atom and the first of another height when every
+        int cross product with that direction vanishes, which is tested up
+        to the first atom off the line."""
+        ids = self._height_ids[index]
+        off = np.flatnonzero(ids != ids[0]) if len(ids) else ()
+        if not len(off):
+            return _horizontal(x, y)
+        rows = self._int_rows[1]
+        y0, x0 = rows[index[0]][:2]
+        y1, x1 = rows[index[off[0]]][:2]
+        dx, dy = x1 - x0, y1 - y0
+        for i in index:
+            yi, xi = rows[i][:2]
+            if dx * (yi - y0) != dy * (xi - x0):
+                return None
+        # the normal (-dy, dx), scaled into float range first
+        n = max(abs(dx), abs(dy))
+        phi = math.atan2(dx / n, -dy / n) % math.pi
+        return Line(phi, x[0] * math.cos(phi) + y[0] * math.sin(phi))
+
     def unit_windows(self, cx: Fraction, cy: Fraction,
                      radii: Sequence[Scalar]) -> Iterator[Window]:
         """The atoms in each ``B((cx, cy), r)`` rescaled to the unit ball,
         in index order, with the squared distances computed once; the
         membership test runs in floats with tolerance ``CLIP_REL_TOL``
-        relative to the radius."""
+        relative to the radius, and :meth:`_line` decides the line of the
+        atoms kept."""
         xs, ys, ms = self.float_arrays
         fcx, fcy = float(cx), float(cy)
         fr = [float(r) for r in radii]
         lim = [(r * (1.0 + CLIP_REL_TOL)) ** 2 for r in fr]
         d2 = (xs - fcx) ** 2 + (ys - fcy) ** 2
         near = d2 <= max(lim, default=0.0)
+        index = np.flatnonzero(near)
         xs, ys, ms, d2 = xs[near], ys[near], ms[near], d2[near]
         for r, lim_r in zip(fr, lim):
             keep = d2 <= lim_r
             u = (xs[keep] - fcx) / r
-            yield Window(u, u, (ys[keep] - fcy) / r, ms[keep] * (1.0 / r))
+            v = (ys[keep] - fcy) / r
+            yield Window(u, u, v, ms[keep] * (1.0 / r),
+                         self._line(index[keep], u, v))
 
     def candidate_centers(self, rho: Fraction, seed: int, max_centers: int,
                           ) -> List[Tuple[Fraction, Fraction]]:

@@ -17,10 +17,11 @@ from betacantor import (AtomicMeasure, CantorMeasure, EmptyBallError,
                         sum_squares)
 from betacantor.beta import (C_BISECT_COARSE, C_BISECT_ITERS,
                              COARSE_CHUNK_PIECES, PHI_GRID, _GOLDEN_STEPS,
-                             SquareFunctionDetails, _abs_pow, _best_lines,
-                             _coarse_chunks, _golden_steps, _Pieces,
-                             _Projection, best_line_p2_window,
-                             best_line_search_window, build_window)
+                             _abs_pow, _best_lines, _coarse_chunks,
+                             _golden_steps, _Pieces, _Projection,
+                             best_line_p2_window, best_line_search_window,
+                             build_window)
+from betacantor.geometry import Line
 from betacantor.measures import Window
 
 FOUR_ATOMS = AtomicMeasure([(-1, 0, 1), (1, 0, 1), (-1, F(1, 5), 1),
@@ -259,11 +260,19 @@ class TestBestLineSearch:
             assert got <= best + 1e-9
 
 
+def empty_balls(mu, x, p, grid):
+    """The empty balls of the square function over ``grid``: the third
+    element of its :func:`sum_squares` job."""
+    return sum_squares([(mu, x, [(r, grid.log_weight)
+                                 for r in grid.radii()])], p)[0][2]
+
+
 def mixed_windows(rng):
     """Windows of several piece counts, some shared, mixing segments and
     atoms, plus an empty window, a horizontal segment row, slanted
     collinear atoms and, last, one window of more pieces than a coarse
-    chunk holds."""
+    chunk holds; the empty window, the row and the slanted atoms pass the
+    lines that carry them."""
     wins = []
     for n in (2, 2, 2, 3, 5, 5, 9, 9, 9, 9, 24, 61):
         s = np.array([rng.uniform(-0.8, 0.5) for _ in range(n)])
@@ -271,16 +280,19 @@ def mixed_windows(rng):
                            for _ in range(n)])
         y = np.array([rng.uniform(-0.6, 0.6) for _ in range(n)])
         m = np.array([rng.uniform(0.05, 2.0) for _ in range(n)])
-        wins.append(Window(s, s + length, y, m))
-    wins.insert(3, Window([], [], [], []))
-    wins.insert(7, Window([-0.5, 0.1], [-0.2, 0.6], [0.25, 0.25], [1, 2]))
+        wins.append(Window(s, s + length, y, m, None))
+    wins.insert(3, Window([], [], [], [], Line.horizontal(0.0)))
+    wins.insert(7, Window([-0.5, 0.1], [-0.2, 0.6], [0.25, 0.25], [1, 2],
+                          Line.horizontal(0.25)))
+    # y = 0.75 x - 0.1 has the unit normal (-0.6, 0.8) and offset -0.08
     xs = np.array([-0.6, -0.1, 0.2, 0.45])
-    wins.insert(10, Window(xs, xs, 0.75 * xs - 0.1, [1.0, 0.5, 2.0, 1.0]))
+    wins.insert(10, Window(xs, xs, 0.75 * xs - 0.1, [1.0, 0.5, 2.0, 1.0],
+                           Line(math.atan2(0.8, -0.6), -0.08)))
     big = COARSE_CHUNK_PIECES + 37
     s = np.array([rng.uniform(-0.9, 0.6) for _ in range(big)])
     wins.append(Window(s, s + 0.05, [rng.uniform(-0.7, 0.7)
                                      for _ in range(big)],
-                       [rng.uniform(0.05, 2.0) for _ in range(big)]))
+                       [rng.uniform(0.05, 2.0) for _ in range(big)], None))
     return wins
 
 
@@ -351,7 +363,7 @@ class TestBatchedSearch:
         wins = mixed_windows(rng)
         rng.shuffle(wins)
         counts = np.array([len(w.m) for w in wins
-                           if len(w.m) and w.collinear_line() is None])
+                           if len(w.m) and w.line is None])
         chunks = [set(counts[a:b].tolist())
                   for a, b in _coarse_chunks(counts)]
         assert {COARSE_CHUNK_PIECES + 37} in chunks
@@ -487,9 +499,7 @@ class TestSquareFunction:
 
     def test_empty_ball_scales_counted(self):
         mu = AtomicMeasure([(0, 0, 1)])
-        det = SquareFunctionDetails()
-        square_function(mu, (5, 0), 2.0, ScaleGrid(0.5, 8.0), details=det)
-        assert det.empty_balls > 0
+        assert empty_balls(mu, (5, 0), 2.0, ScaleGrid(0.5, 8.0)) > 0
 
     @pytest.mark.parametrize("lam", [1.0, 1.5, 0.0])
     def test_increment_ratio_must_lie_in_unit_interval(self, lam):
@@ -561,11 +571,10 @@ class TestSquareFunctionP2:
         mu = make(rng)
         grid = ScaleGrid(1e-3, 1.0, 2.0 ** -0.5)
         for x in centers:
-            det = SquareFunctionDetails()
-            got = square_function(mu, x, 2.0, grid, det)
+            got = square_function(mu, x, 2.0, grid)
             want, empty = self.per_scale(mu, x, grid)
             assert got == want
-            assert det.empty_balls == empty
+            assert empty_balls(mu, x, 2.0, grid) == empty
         assert empty > 0  # the last center sits off the support
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
@@ -575,11 +584,10 @@ class TestSquareFunctionP2:
         mu = make(rng)
         grid = ScaleGrid(1e-2, 1.0, 0.5)
         for x in centers:
-            det = SquareFunctionDetails()
-            got = square_function(mu, x, p, grid, det)
+            got = square_function(mu, x, p, grid)
             want, empty = self.per_scale(mu, x, grid, p)
             assert got == want
-            assert det.empty_balls == empty
+            assert empty_balls(mu, x, p, grid) == empty
         assert empty > 0
 
     def test_collinear_atoms_vanish_at_every_scale(self):

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from betacantor.beta import (SquareFunctionDetails, beta_both_radii,
-                             increment_pair, square_function)
+from betacantor.beta import (beta_both_radii, increment_pair,
+                             square_function, sum_squares)
 from betacantor.cantor import CantorMeasure
 from betacantor.cli import (VARIANTS, ExperimentConfig, _sampled_points,
                             _write_csv, build_parser, load_config, main)
@@ -112,6 +112,16 @@ class TestExitCodes:
                                                value):
         path = write_config(tmp_path, **{key: value})
         assert run("--config", str(path), command) == 2
+
+    @pytest.mark.parametrize("key", ["a0", "c0", "c_thr", "vitali_lambda"])
+    def test_nan_corona_approx_values_rejected(self, tmp_path, capsys, key):
+        # NaN fails every ordered comparison, so a range check must fail
+        # on it; a NaN c0 would reach corona.json, which JSON cannot hold
+        path = write_config(tmp_path, flavor="tame", k_max=1,
+                            **{key: float("nan")})
+        assert run("--config", str(path), "corona") == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("corona", "depth", 2.5), ("corona", "a0", "50"),
@@ -299,7 +309,7 @@ class TestOneSearchPerCoefficient:
         def counting_search(wins, p):
             keys = [(*tags[id(win)], p) for win in wins]
             # a collinear window is scored 0 on its line, never searched
-            assert all(win.collinear_line() is None for win in wins)
+            assert all(win.line is None for win in wins)
             searches.extend(keys)
             batches.append({(g, x, y, p) for g, x, y, _, p in keys})
             return search(wins, p)
@@ -398,10 +408,13 @@ class TestBatchedCommands:
         for _, pt in _sampled_points(sched, cfg.k_max, cfg.samples,
                                      cfg.seed):
             for p in cfg.p:
-                det = SquareFunctionDetails()
-                sums = square_function(mu, (pt.x, pt.y), p, grid, det)
+                sums = square_function(mu, (pt.x, pt.y), p, grid)
+                empty_balls = sum_squares(
+                    [(mu, (pt.x, pt.y),
+                      [(r, grid.log_weight) for r in grid.radii()])],
+                    p)[0][2]
                 for variant, total, empty in zip(VARIANTS, sums,
-                                                 (0, det.empty_balls)):
+                                                 (0, empty_balls)):
                     rows.append((float(pt.x), float(pt.y), p, variant,
                                  grid.r_min, grid.r_max, total, empty))
         inc_rows = []

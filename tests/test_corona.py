@@ -54,6 +54,13 @@ class TestLattice:
         with pytest.raises(ValueError):
             build_lattice(uniform_line(10), a0=20.0)
 
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError, match="a0"):
+            build_lattice(uniform_line(10), a0=math.nan)
+        lat = build_lattice(uniform_line(10), depth=1)
+        with pytest.raises(ValueError, match="c_thr"):
+            corona_decompose(lat, c_thr=math.nan)
+
 
 class TestCorona:
     def test_uniform_atoms_single_root(self):

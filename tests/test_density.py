@@ -103,6 +103,17 @@ class TestDoubling:
         with pytest.raises(ValueError):
             doubling_scales(LONG_LINE, (0, 0), 2.0, 1.0, ScaleGrid(0.1, 1.0))
 
+    def test_nan_dilation_factor_rejected(self):
+        nan = float("nan")
+        for call in (
+                lambda: doubling_scales(LONG_LINE, (0, 0), nan, 1.0,
+                                        ScaleGrid(0.1, 1.0)),
+                lambda: doubling_descent(LONG_LINE, (0, 0), 1.0, nan, 0.01),
+                lambda: build_mu_tilde(LONG_LINE, nan, F(1, 8), 0.1,
+                                       c_star=2.0)):
+            with pytest.raises(ValueError, match="dilation factor"):
+                call()
+
 
 class TestMuTilde:
     def test_per_ball_mass_equality_exact(self):

@@ -72,11 +72,11 @@ class TestClip:
 def projection(segments, phi, atoms=()):
     """``_Projection`` of a window holding float segments
     ``(x0, x1, y, density)`` and atoms ``(x, y, mass)``, onto one normal
-    direction."""
+    direction; the projection reads no line, so the window states none."""
     pieces = ([(x0, x1, y, dens * (x1 - x0)) for x0, x1, y, dens in segments]
               + [(x, x, y, m) for x, y, m in atoms])
     s, e, y, m = zip(*pieces)
-    return _Projection(Window(s, e, y, m), np.array([phi]))
+    return _Projection(Window(s, e, y, m, None), np.array([phi]))
 
 
 def quad_moment(segments, atoms, phi, c, p):

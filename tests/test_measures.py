@@ -11,10 +11,9 @@ from betacantor import (AtomicMeasure, Ball, CantorMeasure, RationalPoint,
                         SegmentMeasure, WeightedSegment, atomize,
                         dumps_measure, loads_measure, locate, schedule_tame,
                         schedule_thm11)
-from betacantor.beta import build_window
+from betacantor.beta import _best_lines, build_window
 from betacantor.density import build_mu_tilde
 from betacantor.geometry import CLIP_REL_TOL, ball_chord
-from betacantor.measures import collinear_line
 
 LINE = SegmentMeasure([WeightedSegment(RationalPoint(0, 0),
                                        RationalPoint(1, 0), 1)])
@@ -259,8 +258,8 @@ class TestUnitWindow:
             assert win.mass * float(r) == pytest.approx(exact, rel=1e-10,
                                                         abs=0)
             # the window lives in the unit ball
-            pts = win.support_points()
-            assert ((pts ** 2).sum(axis=1) <= 1.0 + 1e-9).all()
+            for x in (win.s, win.e):
+                assert (x ** 2 + win.y ** 2 <= 1.0 + 1e-9).all()
             # an atom is a piece of zero length, a clipped segment is not
             n = len(win.s)
             if name == "atoms":
@@ -340,32 +339,54 @@ class TestProtocol:
         assert all(callable(getattr(mu, n)) for n in self.METHODS)
 
 
+def exact_line(mu, cx, cy, r):
+    """Whether one line carries the window of ``B((cx, cy), r)``, decided
+    in ``Fraction`` (an empty window has one): for atoms, every cross
+    product of the atoms in the ball with the direction from the first to
+    the first other position vanishes; for segment and Cantor windows, the
+    segments clipped exactly to positive length lie at one height."""
+    ball = Ball((cx, cy), r)
+    if isinstance(mu, AtomicMeasure):
+        pts = [(x, y) for x, y, _ in mu.atoms
+               if (x - cx) ** 2 + (y - cy) ** 2 <= r * r]
+        if not pts:
+            return True
+        x0, y0 = pts[0]
+        dx, dy = next(((x - x0, y - y0) for x, y in pts if (x, y) != pts[0]),
+                      (1, 0))
+        return all(dx * (y - y0) == dy * (x - x0) for x, y in pts)
+    segs = mu.window((cx, cy), r).segments if isinstance(
+        mu, CantorMeasure) else mu.segments
+    heights = set()
+    for seg in segs:
+        cut = clip(seg, ball)
+        if cut is not None and cut[0] < cut[1]:
+            heights.add(seg.y)
+    return len(heights) <= 1
+
+
 class TestBallMoments:
-    """The moments of each ball's unit window and their collinear screen,
-    which every coefficient reads before it runs a closed form or a
-    search."""
+    """The line each window's builder states, which every coefficient reads
+    before it runs a closed form or a search, against an exact oracle."""
 
     RADII = [F(1, 4), 0.03, 1.3, 0.1, 0.6, 1e-3, 2.0 ** -0.5]
 
     @staticmethod
     def check(mu, cx, cy, radii):
-        """Assert that the screened test of every window of ``radii``
-        returns what :func:`collinear_line` returns on its support; the
-        collinear flags."""
+        """Assert that every window of ``radii`` has a line exactly when
+        :func:`exact_line` finds one; the flags."""
         wins = list(mu.unit_windows(cx, cy, radii))
         assert len(wins) == len(radii)
         flags = []
-        for win in wins:
-            line = win.collinear_line()
-            assert line == collinear_line(win.support_points())
-            flags.append(line is not None)
+        for r, win in zip(radii, wins):
+            assert (win.line is not None) == exact_line(mu, cx, cy, F(r))
+            flags.append(win.line is not None)
         return flags
 
     @pytest.mark.parametrize("name, make, box", KINDS)
     def test_screen_agrees_with_collinear_line(self, name, make, box):
-        # the screen skips collinear_line only where it would find no line,
-        # which keeps every coefficient bit for bit what the unscreened
-        # test gives; both outcomes occur among these windows
+        # each builder's line agrees with the exact oracle; both outcomes
+        # occur among these windows
         mu = make()
         x0, x1, y0, y1 = box
         rng = random.Random(22)
@@ -402,11 +423,52 @@ class TestBallMoments:
         row = AtomicMeasure([(F(i, 7), F(1, 3), 1) for i in range(-9, 9)])
         assert all(self.check(row, F(0), F(1, 3), radii))
 
+    @staticmethod
+    def searched(mu, cx, cy, r):
+        """Whether the window of ``B((cx, cy), r)`` has no line and goes to
+        the search at p = 1.5."""
+        win, = mu.unit_windows(cx, cy, [r])
+        return win.line is None and _best_lines([win], 1.5)[0][3] > 0
+
+    def test_near_collinear_windows_are_searched(self):
+        # 1e-14 off a line in unit-window units is off the line: a float
+        # fit with a tolerance such as 1e-12 would score these windows 0
+        m, b0 = F(3, 7), F(-2, 5)
+        line = [(x, m * x + b0, 1) for x in (F(-1, 2), F(1, 3), F(2, 3))]
+        atoms = AtomicMeasure(line + [(F(1, 5), m * F(1, 5) + b0
+                                       + F(1, 10 ** 14), 1)])
+        assert self.searched(atoms, F(0), b0, F(1))
+        rows = SegmentMeasure([
+            WeightedSegment(RationalPoint(0, y), RationalPoint(1, y), 1)
+            for y in (F(0), F(1, 10 ** 14))])
+        assert self.searched(rows, F(1, 2), F(0), F(1))
+
+    def test_large_numerator_slanted_atoms_keep_a_line(self):
+        # exact points on a slanted rational line with large numerators
+        # keep a line at every radius, the line carries them, and each
+        # window scores 0 without a search
+        m = F(123456789012345, 987654321098765)
+        b0 = F(-31415926535897932, 10 ** 17)
+        xs = [F(k, 1000003) for k in (-700001, -123457, 3, 99991, 512345)]
+        mu = AtomicMeasure([(x, m * x + b0, k + 1)
+                            for k, x in enumerate(xs)])
+        cx, cy = xs[2], m * xs[2] + b0
+        radii = [F(1, 10 ** 6), F(1, 9), F(1, 3), 1, 50]
+        sizes = []
+        for win in mu.unit_windows(cx, cy, radii):
+            assert win.line is not None
+            assert max(win.line.distance(x, y)
+                       for x, y in zip(win.s, win.y)) < 1e-12
+            sizes.append(len(win.m))
+        assert sizes == [1, 2, 3, 5, 5]
+        assert all(res[0] == 0.0 and res[3] == 0 for res in
+                   _best_lines(mu.unit_windows(cx, cy, radii), 1.5))
+
     def test_empty_and_no_radii(self):
         mu = atom_cloud(8)
         wins = list(mu.unit_windows(F(9), F(9), [F(1, 2), 1]))
         assert len(wins) == 2
-        assert all(win.moments() == (0.0,) * 6 for win in wins)
+        assert all(win.mass == 0.0 for win in wins)
         for kind in (LINE, mu, CantorMeasure(schedule_tame(1), 1)):
             assert list(kind.unit_windows(F(1, 2), F(0), [])) == []
 
